@@ -122,10 +122,12 @@ Arm measure_arm(std::string name, const K& kernel, int n, const ArmConfig& arm, 
 /// Cell-list cutoff sweep over a resident SoaBlock — the path the serial
 /// reference and the spatial baselines run under a cutoff. Pairs/sec counts
 /// applied (in-cutoff) pair interactions; the scalar and batched paths
-/// apply identical pair sets by construction.
+/// apply identical pair sets by construction, and the checksum (forces
+/// after one sweep from rest, as for the whole-block arms) shows they
+/// agree.
 template <class K>
-double measure_cell_list_pairs_per_sec(const K& kernel, int n, double cutoff,
-                                       KernelEngine engine, double min_ms, int repeats) {
+Arm measure_cell_list_arm(std::string name, const K& kernel, int n, double cutoff,
+                          KernelEngine engine, double min_ms, int repeats) {
   const Box box = Box::reflective_2d(1.0);
   particles::SoaBlock ps(particles::init_uniform(n, box, 1));
   particles::SweepScratch scratch;
@@ -138,7 +140,11 @@ double measure_cell_list_pairs_per_sec(const K& kernel, int n, double cutoff,
     g_sink = g_sink + static_cast<double>(applied) + ps.fx[0];
   };
   run_once();  // warmup: faults pages, primes caches and the SoA scratch
-  double best = 0.0;
+
+  Arm out;
+  out.name = std::move(name);
+  for (std::size_t i = 0; i < ps.size(); ++i)
+    out.checksum += std::fabs(ps.fx[i]) + std::fabs(ps.fy[i]);
   for (int r = 0; r < repeats; ++r) {
     const auto start = std::chrono::steady_clock::now();
     long iters = 0;
@@ -148,9 +154,10 @@ double measure_cell_list_pairs_per_sec(const K& kernel, int n, double cutoff,
       ++iters;
       elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     } while (elapsed * 1e3 < min_ms);
-    best = std::max(best, static_cast<double>(iters) * pairs_per_iter / elapsed);
+    out.pairs_per_sec =
+        std::max(out.pairs_per_sec, static_cast<double>(iters) * pairs_per_iter / elapsed);
   }
-  return best;
+  return out;
 }
 
 template <class K>
@@ -159,14 +166,10 @@ Measurement measure_cell_list(const std::string& name, const K& kernel, int n, d
   Measurement m;
   m.kernel = name;
   m.n = n;
-  m.arms.push_back({"scalar",
-                    measure_cell_list_pairs_per_sec(kernel, n, cutoff, KernelEngine::Scalar,
-                                                    min_ms, repeats),
-                    0.0});
-  m.arms.push_back({"batched",
-                    measure_cell_list_pairs_per_sec(kernel, n, cutoff, KernelEngine::Batched,
-                                                    min_ms, repeats),
-                    0.0});
+  m.arms.push_back(
+      measure_cell_list_arm("scalar", kernel, n, cutoff, KernelEngine::Scalar, min_ms, repeats));
+  m.arms.push_back(measure_cell_list_arm("batched", kernel, n, cutoff, KernelEngine::Batched,
+                                         min_ms, repeats));
   return m;
 }
 

@@ -1,16 +1,19 @@
 // End-to-end step throughput bench: host steps/sec through the Simulation
 // facade for the configurations the figure drivers actually exercise —
-// cutoff + cell-window schedules with the scalar and batched engines, plus
-// an all-pairs case for context. This measures HOST wall time of the whole
-// timestep (broadcast/skew/shift staging, force sweeps, reduce, integrate,
-// re-assign); the virtual-time ledger is layout- and engine-invariant by
-// construction and is *not* what this bench reports.
+// cutoff + cell-window schedules, plus an all-pairs case for context. This
+// measures HOST wall time of the whole timestep (broadcast/skew/shift
+// staging, force sweeps, reduce, integrate, re-assign); the virtual-time
+// ledger is layout-invariant by construction and is *not* what this bench
+// reports.
 //
 //   ./bench/step_bench --out=BENCH_step.json --min-ms=400 --repeats=3
 //
-// Emitted JSON records steps/sec per (method, n, p, c, engine, threads) so
-// the perf trajectory of the resident-layout work is a file in the repo,
-// not a claim from memory.
+// Built with the library's own flags (not the -O3 bench flags): the
+// Simulation and its sweeps are header templates instantiated here, so the
+// recorded numbers are the step as users build it. The manifest records the
+// host's core count and CPU model. Emitted JSON records steps/sec per
+// (method, n, p, c, threads) so the perf trajectory of the host data path
+// is a file in the repo, not a claim from memory.
 //
 // --series-out=FILE additionally runs the headline case once more with the
 // per-step flight recorder attached (obs/step_series.hpp) and writes its
@@ -26,6 +29,7 @@
 #include <memory>
 #include <string>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "machine/presets.hpp"
@@ -51,7 +55,6 @@ struct Case {
   int p = 64;
   int c = 2;
   double cutoff = 0.1;
-  particles::KernelEngine engine = particles::KernelEngine::Batched;
   int threads = 1;
   /// Host data plane (vmpi/buffer_pool.hpp): pooled lane-subset copies vs
   /// the legacy full-copy host path. Virtual ledgers are identical; only
@@ -72,10 +75,6 @@ struct Result {
   double steps_per_sec = 0.0;
 };
 
-const char* engine_label(particles::KernelEngine e) {
-  return e == particles::KernelEngine::Batched ? "batched" : "scalar";
-}
-
 /// Builds a fresh Simulation for the case (identical initial state every
 /// time: the workload seed is fixed).
 sim::Simulation<particles::InverseSquareRepulsion> make_sim(
@@ -90,7 +89,6 @@ sim::Simulation<particles::InverseSquareRepulsion> make_sim(
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.cutoff = cs.cutoff;
   cfg.dt = 1e-4;
-  cfg.engine = cs.engine;
   cfg.pooled_data_plane = cs.pooled;
   cfg.sched = cs.sched;
   cfg.steal_grain = cs.steal_grain;
@@ -203,10 +201,14 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
                 const std::vector<SocketResult>& socket_rs, double min_ms, int repeats) {
   obs::RunManifest manifest;
   manifest.machine = "host";
+  manifest.simd = particles::simd::backend_name(particles::simd::max_supported());
   manifest
       .set("note",
-           "host wall time per full timestep via sim::Simulation; virtual-time ledgers are "
-           "engine- and layout-invariant")
+           "host wall time per full timestep via sim::Simulation, built with the library's "
+           "own flags; virtual-time ledgers are layout-invariant")
+      .set("nproc", static_cast<int>(std::thread::hardware_concurrency()))
+      .set("cpu_model", obs::host_cpu_model())
+      .set("simd_active", particles::simd::backend_name(particles::simd::active()))
       .set("virtual_machine", "hopper")
       .set("min_ms", min_ms)
       .set("repeats", repeats);
@@ -218,7 +220,6 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
           .kv("p", r.cfg.p)
           .kv("c", r.cfg.c)
           .kv("cutoff", r.cfg.cutoff)
-          .kv("engine", engine_label(r.cfg.engine))
           .kv("threads", r.cfg.threads)
           .kv("data_plane", r.cfg.pooled ? "pooled" : "legacy")
           .kv("dist", r.cfg.dist)
@@ -234,7 +235,6 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
           .kv("p", r.cfg.p)
           .kv("c", r.cfg.c)
           .kv("cutoff", r.cfg.cutoff)
-          .kv("engine", engine_label(r.cfg.engine))
           .kv("threads", r.cfg.threads)
           .kv("transport", "socket")
           .kv("groups", r.groups)
@@ -265,8 +265,7 @@ int main(int argc, char** argv) {
   // them. --socket-steps=0 skips the arm.
   std::vector<SocketResult> socket_results;
   if (socket_steps > 0) {
-    const Case socket_case{sim::Method::CaCutoff, 4096, 64, 2, 0.1,
-                           particles::KernelEngine::Batched, 1};
+    const Case socket_case{sim::Method::CaCutoff, 4096, 64, 2, 0.1, 1};
     for (const int groups : {2, 4}) {
       for (const auto exec : {vmpi::ExecMode::Lockstep, vmpi::ExecMode::OwnerComputes}) {
         SocketResult r{socket_case, groups, exec, socket_steps,
@@ -279,18 +278,15 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Case> cases;
-  for (const auto engine : {particles::KernelEngine::Scalar, particles::KernelEngine::Batched}) {
-    // The headline configuration: cutoff schedule, ~128 particles per team —
-    // the small-block regime the paper's weak-scaling figures run in, where
-    // per-sweep repacking overhead is proportionally largest.
-    cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, engine, 1});
-    // Smaller blocks (~32/team): repack overhead dominates the k^2 sweep.
-    cases.push_back({sim::Method::CaCutoff, 2048, 128, 2, 0.12, engine, 1});
-    // All-pairs for context (larger blocks, sweep-dominated).
-    cases.push_back({sim::Method::CaAllPairs, 2048, 16, 2, 0.0, engine, 1});
-    // Threaded cutoff: the configuration the examples/figure sweeps use.
-    cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, engine, 4});
-  }
+  // The headline configuration: cutoff schedule, ~128 particles per team —
+  // the small-block regime the paper's weak-scaling figures run in.
+  cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, 1});
+  // Smaller blocks (~32/team): per-sweep overheads weigh most.
+  cases.push_back({sim::Method::CaCutoff, 2048, 128, 2, 0.12, 1});
+  // All-pairs for context (larger blocks, sweep-dominated).
+  cases.push_back({sim::Method::CaAllPairs, 2048, 16, 2, 0.0, 1});
+  // Threaded cutoff: the configuration the examples/figure sweeps use.
+  cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, 4});
   // Broadcast/reduce-dominated: deep replication (c=8 -> 7 replica copies
   // per team per step) over small blocks, where the per-step host time is
   // mostly data movement, not force arithmetic. Run with both host data
@@ -298,8 +294,7 @@ int main(int argc, char** argv) {
   // JSON from the same process on the same host.
   for (const int n : {128, 512}) {
     for (const bool pooled : {false, true}) {
-      cases.push_back(
-          {sim::Method::CaAllPairs, n, 64, 8, 0.0, particles::KernelEngine::Batched, 1, pooled});
+      cases.push_back({sim::Method::CaAllPairs, n, 64, 8, 0.0, 1, pooled});
     }
   }
   // Clustered arm: Plummer core / ring annulus over the cutoff schedule,
@@ -311,21 +306,21 @@ int main(int argc, char** argv) {
   for (const std::string& dist : {std::string("plummer"), std::string("ring")}) {
     for (const int threads : {4, 8}) {
       for (const SchedMode sched : {SchedMode::kStatic, SchedMode::kStealing}) {
-        cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1,
-                         particles::KernelEngine::Batched, threads, true, dist, sched, 2});
+        cases.push_back(
+            {sim::Method::CaCutoff, 4096, 64, 2, 0.1, threads, true, dist, sched, 2});
       }
     }
   }
 
   std::vector<Result> results;
-  std::cout << "method        n      p    c  engine   thr  plane   dist     sched    steps/s\n";
+  std::cout << "method        n      p    c  thr  plane   dist     sched    steps/s\n";
   for (const auto& cs : cases) {
     Result r{cs, measure_steps_per_sec(cs, min_ms, repeats)};
     results.push_back(r);
-    std::printf("%-13s %-6d %-4d %-2d %-8s %-4d %-7s %-8s %-8s %.2f\n",
-                sim::method_name(cs.method), cs.n, cs.p, cs.c, engine_label(cs.engine),
-                cs.threads, cs.pooled ? "pooled" : "legacy", cs.dist.c_str(),
-                to_string(cs.sched), r.steps_per_sec);
+    std::printf("%-13s %-6d %-4d %-2d %-4d %-7s %-8s %-8s %.2f\n",
+                sim::method_name(cs.method), cs.n, cs.p, cs.c, cs.threads,
+                cs.pooled ? "pooled" : "legacy", cs.dist.c_str(), to_string(cs.sched),
+                r.steps_per_sec);
   }
   write_json(out_path, results, socket_results, min_ms, repeats);
   std::cout << "wrote " << out_path << "\n";

@@ -1,0 +1,13 @@
+# Runs BIN with ARGS (one space-separated string) and fails unless it exits
+# with EXPECT and its combined output matches MATCH.
+#
+#   cmake -DBIN=<exe> "-DARGS=--flag=x" -DEXPECT=2 -DMATCH=usage: -P check_exit_code.cmake
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${BIN}" ${args}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc STREQUAL "${EXPECT}")
+  message(FATAL_ERROR "${BIN} ${ARGS}: exit ${rc}, expected ${EXPECT}\n${out}${err}")
+endif()
+if(NOT "${out}${err}" MATCHES "${MATCH}")
+  message(FATAL_ERROR "${BIN} ${ARGS}: output does not match '${MATCH}'\n${out}${err}")
+endif()

@@ -19,13 +19,13 @@
 //                 (support/parallel.hpp); outputs are bitwise identical
 //                 either way — stealing only rebalances execution
 //   --steal-grain tasks clipped per steal (stealing mode; default 1)
-//   --engine      scalar | batched host force sweep (virtual time unchanged)
 //   --data-plane  pooled | legacy host buffer movement (vmpi/buffer_pool.hpp);
 //                 host wall time only — outputs are bitwise identical
 //   --tune        off | auto | force host autotuning (core/host_tuner.hpp):
 //                 auto calibrates (or reuses --tune-cache) and installs the
-//                 fastest {engine, half-sweep, tile, SIMD backend, threads};
-//                 force always re-calibrates. Virtual time is unchanged.
+//                 fastest {SIMD backend, threads, scheduler} for the force
+//                 sweep; force always re-calibrates. Virtual time is
+//                 unchanged.
 //   --tune-cache  path to the persisted tuning cache (docs/TUNING.md)
 //
 // Real transport (docs/TRANSPORT.md). The modeled default moves bytes
@@ -88,6 +88,10 @@
 //   --straggler-factor a step slower than this multiple of the rolling
 //                   median wall time is flagged and dumped immediately to
 //                   <series-out>.straggler-step<K>.json (default 3.0)
+//
+//   --help          print the option list and exit 0
+// A usage error (unknown option, bad value) prints one line naming the
+// option plus the option list and exits 2.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -95,7 +99,11 @@
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/autotuner.hpp"
 #include "machine/presets.hpp"
@@ -155,21 +163,42 @@ std::string tune_distribution_for(const std::string& workload) {
   return "uniform";
 }
 
-}  // namespace
+using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv,
-                     {"method", "machine", "workload", "n", "p", "c", "steps", "dt", "cutoff",
-                      "seed", "xyz", "csv", "checkpoint", "restart", "report", "rdf",
-                      "threads", "sched", "steal-grain", "integrator", "engine",
-                      "data-plane", "tune", "tune-cache", "fault-seed", "straggler",
-                      "jitter", "drop-rate", "link-degrade", "obs-level", "metrics-out",
-                      "trace-out", "spans-csv", "serve", "serve-linger", "series-out",
-                      "series-capacity", "straggler-factor", "transport",
-                      "transport-groups", "transport-group", "transport-dir",
-                      "transport-drop", "transport-drop-seed", "transport-exec"});
-  using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
+const std::vector<std::string> kOptions = {
+    "method", "machine", "workload", "n", "p", "c", "steps", "dt", "cutoff", "seed", "xyz",
+    "csv", "checkpoint", "restart", "report", "rdf", "threads", "sched", "steal-grain",
+    "integrator", "data-plane", "tune", "tune-cache", "fault-seed", "straggler", "jitter",
+    "drop-rate", "link-degrade", "obs-level", "metrics-out", "trace-out", "spans-csv", "serve",
+    "serve-linger", "series-out", "series-capacity", "straggler-factor", "transport",
+    "transport-groups", "transport-group", "transport-dir", "transport-drop",
+    "transport-drop-seed", "transport-exec", "help"};
+
+/// Everything the options decide, parsed and validated before any process
+/// is forked or any simulation state is built.
+struct RunPlan {
   Sim::Config cfg;
+  vmpi::TransportOptions topts;
+  /// Socket transport without --transport-group: this process forks the
+  /// other groups itself.
+  bool fork_groups = false;
+  int n = 0;
+  int steps = 0;
+  std::uint64_t seed = 0;
+  int threads = 1;
+  double serve_linger = 0.0;
+  std::string series_out;
+  particles::Block initial;
+  bool restarted = false;
+  std::int64_t step0 = 0;
+  double time0 = 0.0;
+};
+
+/// Parses every option; throws (PreconditionError or another
+/// std::invalid_argument / std::out_of_range) on a usage error.
+RunPlan plan_run(const CliArgs& args) {
+  RunPlan plan;
+  Sim::Config& cfg = plan.cfg;
   cfg.method = parse_method(args.get("method", "ca-all-pairs"));
   cfg.machine = parse_machine(args.get("machine", "laptop"));
   cfg.p = static_cast<int>(args.get_int("p", 64));
@@ -178,7 +207,6 @@ int main(int argc, char** argv) {
   cfg.cutoff = args.get_double("cutoff", 0.0);
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.integrator = args.get("integrator", "velocity-verlet");
-  cfg.engine = particles::parse_engine(args.get("engine", "scalar"));
   {
     const std::string dp = args.get("data-plane", "pooled");
     CANB_REQUIRE(dp == "pooled" || dp == "legacy", "unknown --data-plane (pooled | legacy)");
@@ -203,23 +231,19 @@ int main(int argc, char** argv) {
     CANB_REQUIRE(!args.has("sched") || cfg.tune == sim::TuneMode::Off,
                  "--sched conflicts with --tune (the tuner picks the scheduler)");
   }
-  const int n = static_cast<int>(args.get_int("n", 512));
-  const int steps = static_cast<int>(args.get_int("steps", 50));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2013));
+  plan.n = static_cast<int>(args.get_int("n", 512));
+  plan.steps = static_cast<int>(args.get_int("steps", 50));
+  plan.seed = static_cast<std::uint64_t>(args.get_int("seed", 2013));
+  plan.threads = static_cast<int>(args.get_int("threads", 1));
+  CANB_REQUIRE(plan.threads >= 0, "--threads must be >= 0");
+  plan.serve_linger = args.get_double("serve-linger", 0.0);
 
-  // Real transport selection. The socket arm forks its process group here,
-  // BEFORE any threads exist (the tuner and host pool spawn some), and
-  // before the simulation is built so every group constructs identical
-  // state. `primary` gates every print and file output below: group 0
-  // speaks for the run, the other groups compute, feed the fabric, exit 0.
-  std::unique_ptr<vmpi::ProcessGroup> launch;
-  std::string owned_rendezvous_dir;
-  bool primary = true;
+  // Real transport selection (the socket arm forks later, in run()).
   {
     const std::string tname = args.get("transport", "modeled");
     const auto kind = vmpi::parse_transport_kind(tname);
     CANB_REQUIRE(kind.has_value(), "unknown --transport (modeled | shmem | socket): " + tname);
-    vmpi::TransportOptions topts;
+    vmpi::TransportOptions& topts = plan.topts;
     topts.kind = *kind;
     topts.ranks = cfg.p;
     topts.drop_rate = args.get_double("transport-drop", 0.0);
@@ -249,20 +273,10 @@ int main(int argc, char** argv) {
                      "--transport-group needs --transport-dir (shared rendezvous)");
         topts.dir = args.get("transport-dir", "");
       } else {
-        if (args.has("transport-dir")) {
-          topts.dir = args.get("transport-dir", "");
-        } else {
-          owned_rendezvous_dir = vmpi::make_rendezvous_dir();
-          topts.dir = owned_rendezvous_dir;
-        }
-        launch = std::make_unique<vmpi::ProcessGroup>(topts.groups);
-        topts.group = launch->group();
+        topts.dir = args.get("transport-dir", "");
+        plan.fork_groups = true;
       }
-      primary = topts.group == 0;
     }
-    // Modeled yields no endpoint by design: the default arm moves bytes
-    // in-process already and attaching nothing keeps it allocation-free.
-    cfg.transport = vmpi::make_transport(topts);
   }
 
   if (args.has("fault-seed") || args.has("straggler") || args.has("jitter") ||
@@ -300,8 +314,8 @@ int main(int argc, char** argv) {
     CANB_REQUIRE(cfg.serve_port >= 0 && cfg.serve_port <= 65535,
                  "--serve port must be in [0, 65535]");
   }
-  const std::string series_out = args.get("series-out", "");
-  if (!series_out.empty()) {
+  plan.series_out = args.get("series-out", "");
+  if (!plan.series_out.empty()) {
     CANB_REQUIRE(cfg.obs != obs::ObsLevel::Off,
                  "--series-out needs --obs-level=metrics or full");
     cfg.series_capacity = static_cast<int>(args.get_int("series-capacity", 1024));
@@ -313,38 +327,72 @@ int main(int argc, char** argv) {
                  "--series-capacity/--straggler-factor need --series-out");
   }
 
-  particles::Block initial;
-  std::int64_t step0 = 0;
-  double time0 = 0.0;
   if (args.has("restart")) {
     const auto cp = sim::load_checkpoint(args.get("restart", ""));
-    initial = cp.particles;
-    step0 = cp.step;
-    time0 = cp.time;
-    if (primary)
-      std::cout << "restarted from step " << step0 << " (" << initial.size()
-                << " particles)\n";
+    plan.initial = cp.particles;
+    plan.restarted = true;
+    plan.step0 = cp.step;
+    plan.time0 = cp.time;
   } else {
-    initial = make_workload(args.get("workload", "uniform"), n, cfg.box, seed);
+    plan.initial = make_workload(args.get("workload", "uniform"), plan.n, cfg.box, plan.seed);
   }
+  return plan;
+}
+
+/// Prints a usage error (one line naming the option, then the option list)
+/// and returns the usage exit status.
+int usage_error(const std::string& what) {
+  std::cerr << "run_simulation: " << what << "\n"
+            << format_usage("run_simulation", kOptions) << "\n";
+  return 2;
+}
+
+int run(const CliArgs& args, RunPlan plan) {
+  Sim::Config& cfg = plan.cfg;
+  const int n = plan.n;
+  const int steps = plan.steps;
+  const std::uint64_t seed = plan.seed;
+  const std::string& series_out = plan.series_out;
+  const std::int64_t step0 = plan.step0;
+  const double time0 = plan.time0;
+
+  // The socket arm forks its process group here, BEFORE any threads exist
+  // (the tuner and host pool spawn some), and before the simulation is
+  // built so every group constructs identical state. `primary` gates every
+  // print and file output below: group 0 speaks for the run, the other
+  // groups compute, feed the fabric, exit 0.
+  std::unique_ptr<vmpi::ProcessGroup> launch;
+  std::string owned_rendezvous_dir;
+  if (plan.fork_groups) {
+    if (plan.topts.dir.empty()) {
+      owned_rendezvous_dir = vmpi::make_rendezvous_dir();
+      plan.topts.dir = owned_rendezvous_dir;
+    }
+    launch = std::make_unique<vmpi::ProcessGroup>(plan.topts.groups);
+    plan.topts.group = launch->group();
+  }
+  const bool primary = plan.topts.group == 0;
+  // Modeled yields no endpoint by design: the default arm moves bytes
+  // in-process already and attaching nothing keeps it allocation-free.
+  cfg.transport = vmpi::make_transport(plan.topts);
+  if (primary && plan.restarted)
+    std::cout << "restarted from step " << step0 << " (" << plan.initial.size()
+              << " particles)\n";
 
   // Held by pointer so the endpoint can be torn down (flush + barrier +
   // close, in ~Transport) explicitly before forked children are reaped —
   // plain destructor order would reap first and deadlock the barrier.
-  auto simulation_ptr = std::make_unique<Sim>(cfg, std::move(initial));
+  auto simulation_ptr = std::make_unique<Sim>(cfg, std::move(plan.initial));
   Sim& simulation = *simulation_ptr;
   if (const auto& tuned = simulation.tuned(); primary && tuned.has_value()) {
-    std::cout << "host tuner: engine=" << particles::engine_name(tuned->engine)
-              << " half-sweep=" << (tuned->tuning.half_sweep ? "on" : "off")
-              << " tile=" << tuned->tuning.tile
-              << " simd=" << particles::simd::backend_name(particles::simd::active())
+    std::cout << "host tuner: simd=" << particles::simd::backend_name(particles::simd::active())
               << " threads=" << tuned->threads << " sched=" << to_string(tuned->sched)
               << (tuned->sched == SchedMode::kStealing
                       ? "/grain" + std::to_string(tuned->steal_grain)
                       : "")
               << (tuned->from_cache ? " (cached)" : " (calibrated)") << "\n";
   }
-  int threads = static_cast<int>(args.get_int("threads", 1));
+  int threads = plan.threads;
   if (!args.has("threads") && simulation.tuned()) {
     // No explicit --threads: a tuned run uses the calibrated thread count.
     threads = simulation.tuned()->threads;
@@ -504,7 +552,7 @@ int main(int argc, char** argv) {
   // Scripted scrapers (CI, the demo script) get a deterministic window to
   // read the final state. Non-primary groups skip straight to teardown and
   // park in the close barrier until the primary follows.
-  if (const double linger = args.get_double("serve-linger", 0.0);
+  if (const double linger = plan.serve_linger;
       primary && simulation.server() != nullptr && linger > 0.0) {
     std::cout << "serving for another " << linger << "s (--serve-linger)" << std::endl;
     std::this_thread::sleep_for(std::chrono::duration<double>(linger));
@@ -531,4 +579,27 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Usage errors (an unknown option, a bad value, an option missing its
+  // companion) exit 2 with the option list; nothing has been forked or
+  // built yet when they are found.
+  std::optional<CliArgs> args;
+  RunPlan plan;
+  try {
+    args.emplace(argc, argv, kOptions);
+    if (args->has("help")) {
+      std::cout << format_usage("run_simulation", kOptions) << "\n";
+      return 0;
+    }
+    plan = plan_run(*args);
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  } catch (const std::out_of_range& e) {
+    return usage_error(e.what());
+  }
+  return run(*args, std::move(plan));
 }

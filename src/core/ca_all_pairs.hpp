@@ -238,8 +238,8 @@ class CaAllPairs {
       if (!vc_.resident(r)) {
         // Owner-computes: this rank's sweep runs in its owning process.
         // Charge exactly what the owner's sweep will report — examined
-        // counts derive from block sizes alone (same formula for the full
-        // sweep, the N3L half-sweep, and the cull path), and non-resident
+        // counts derive from block sizes alone (the sweep examines every
+        // pair of the block product but same-id ones), and non-resident
         // buffer sizes are maintained by every primitive — then skip the
         // physics. on_sweep is deliberately NOT called: canb_sweep_*
         // counters document the pairs this process actually executed.
@@ -257,7 +257,7 @@ class CaAllPairs {
       // bitwise-identical artifacts.
       vc_.charge_interactions(r, static_cast<double>(stats.examined));
       if (telem_ != nullptr && telem_->enabled())
-        telem_->on_sweep(r, stats.examined, stats.computed, stats.half_sweep);
+        telem_->on_sweep(r, stats.examined, stats.computed);
     };
     if (pool_) {
       // Cost hints: per-rank resident x carried block sizes — the exact

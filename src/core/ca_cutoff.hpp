@@ -307,7 +307,7 @@ class CaCutoff {
       // stealing schedules leave every artifact bitwise identical.
       vc_.charge_interactions(r, static_cast<double>(stats.examined));
       if (telem_ != nullptr && telem_->enabled())
-        telem_->on_sweep(r, stats.examined, stats.computed, stats.half_sweep);
+        telem_->on_sweep(r, stats.examined, stats.computed);
     };
     if (pool_) {
       // Cost hints: the spatial interaction histogram (resident x carried

@@ -5,23 +5,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/manifest.hpp"
+
 namespace canb::core {
 namespace {
-
-/// First "model name" line of /proc/cpuinfo, or empty when unavailable.
-std::string cpu_model_name() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) break;
-    std::size_t b = colon + 1;
-    while (b < line.size() && std::isspace(static_cast<unsigned char>(line[b])) != 0) ++b;
-    return line.substr(b);
-  }
-  return {};
-}
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
@@ -133,47 +120,24 @@ bool field_number(std::string_view obj, std::string_view key, double& out) {
   return static_cast<bool>(is >> out);
 }
 
-bool field_bool(std::string_view obj, std::string_view key, bool& out) {
-  const std::size_t p = find_key(obj, key);
-  if (p == std::string_view::npos) return false;
-  if (obj.compare(p, 4, "true") == 0) {
-    out = true;
-    return true;
-  }
-  if (obj.compare(p, 5, "false") == 0) {
-    out = false;
-    return true;
-  }
-  return false;
-}
-
-/// Parses one entry object's text; false rejects the whole file. Every v2
+/// Parses one entry object's text; false rejects the whole file. Every v3
 /// field is mandatory — a truncated or hand-pruned entry fails closed.
 bool parse_entry(std::string_view obj, HostTuneEntry& e) {
-  double n = 0.0, tile = 0.0, threads = 0.0, grain = 0.0, lane_max = 0.0, rate = 0.0;
+  double n = 0.0, threads = 0.0, grain = 0.0, rate = 0.0;
   if (!field_string(obj, "kernel", e.kernel)) return false;
   if (!field_number(obj, "n", n) || n < 2.0) return false;
-  if (!field_string(obj, "engine", e.engine)) return false;
-  if (e.engine != "scalar" && e.engine != "batched") return false;
-  if (!field_number(obj, "tile", tile) || tile < 1.0 ||
-      tile > static_cast<double>(particles::BatchedEngine::kTileWidth))
-    return false;
-  if (!field_bool(obj, "half_sweep", e.half_sweep)) return false;
   if (!field_number(obj, "threads", threads) || threads < 1.0) return false;
   if (!field_string(obj, "backend", e.backend)) return false;
   if (!particles::simd::parse_backend(e.backend)) return false;
   if (!field_string(obj, "sched", e.sched)) return false;
   if (!parse_sched_mode(e.sched)) return false;
   if (!field_number(obj, "steal_grain", grain) || grain < 1.0) return false;
-  if (!field_number(obj, "inline_lane_max", lane_max) || lane_max < 0.0) return false;
   if (!field_string(obj, "distribution", e.distribution) || e.distribution.empty())
     return false;
   if (!field_number(obj, "pairs_per_sec", rate)) return false;
   e.n = static_cast<std::uint64_t>(n);
-  e.tile = static_cast<std::uint64_t>(tile);
   e.threads = static_cast<int>(threads);
   e.steal_grain = static_cast<int>(grain);
-  e.inline_lane_max = static_cast<std::uint64_t>(lane_max);
   e.pairs_per_sec = rate;
   return true;
 }
@@ -181,7 +145,7 @@ bool parse_entry(std::string_view obj, HostTuneEntry& e) {
 }  // namespace
 
 std::string TuningCache::machine_key() {
-  std::string model = cpu_model_name();
+  std::string model = obs::host_cpu_model();
   if (model.empty()) model = "unknown-cpu";
   return model + " [" + particles::simd::backend_name(particles::simd::max_supported()) + "]";
 }
@@ -241,17 +205,12 @@ bool TuningCache::save(const std::string& path) const {
     out += "    {\"kernel\": ";
     append_json_string(out, e.kernel);
     out += ", \"n\": " + std::to_string(e.n);
-    out += ", \"engine\": ";
-    append_json_string(out, e.engine);
-    out += ", \"tile\": " + std::to_string(e.tile);
-    out += std::string(", \"half_sweep\": ") + (e.half_sweep ? "true" : "false");
     out += ", \"threads\": " + std::to_string(e.threads);
     out += ", \"backend\": ";
     append_json_string(out, e.backend);
     out += ", \"sched\": ";
     append_json_string(out, e.sched);
     out += ", \"steal_grain\": " + std::to_string(e.steal_grain);
-    out += ", \"inline_lane_max\": " + std::to_string(e.inline_lane_max);
     out += ", \"distribution\": ";
     append_json_string(out, e.distribution);
     char rate[40];
@@ -286,10 +245,6 @@ void TuningCache::put(HostTuneEntry e) {
 
 HostTuneChoice choice_from_entry(const HostTuneEntry& e) {
   HostTuneChoice c;
-  c.engine = particles::parse_engine(e.engine);
-  c.tuning.half_sweep = e.half_sweep;
-  c.tuning.tile = static_cast<std::size_t>(e.tile);
-  c.tuning.inline_lane_max = static_cast<std::size_t>(e.inline_lane_max);
   // Entries validate against parse_backend on load; clamp to what this
   // machine supports in case a hand-edited cache requests wider lanes.
   const auto parsed = particles::simd::parse_backend(e.backend);
@@ -309,14 +264,10 @@ HostTuneEntry entry_from_choice(std::string kernel, std::uint64_t n, std::string
   HostTuneEntry e;
   e.kernel = std::move(kernel);
   e.n = n;
-  e.engine = particles::engine_name(c.engine);
-  e.tile = c.tuning.tile;
-  e.half_sweep = c.tuning.half_sweep;
   e.threads = c.threads;
   e.backend = particles::simd::backend_name(c.backend);
   e.sched = to_string(c.sched);
   e.steal_grain = c.steal_grain;
-  e.inline_lane_max = c.tuning.inline_lane_max;
   e.distribution = std::move(distribution);
   e.pairs_per_sec = c.pairs_per_sec;
   return e;

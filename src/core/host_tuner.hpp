@@ -2,13 +2,13 @@
 //
 // core::Autotuner picks the replication factor c by evaluating candidate
 // schedules on the *virtual* machine model. HostTuner is its host-side
-// sibling: it picks the knobs that change only host wall time — kernel
-// engine, N3L half-sweep on/off, sweep tile width, SIMD backend, and host
-// thread count — by running a short calibration sweep on real particle
-// blocks and timing it. Nothing here reads or writes the virtual cost
-// model; applying any choice this tuner makes leaves ledgers, traces, and
-// trajectories exactly as documented in batched_engine.hpp (bitwise for
-// everything except the opt-in fast paths, which the tuner never enables).
+// sibling: it picks the knobs that change only host wall time — the SIMD
+// backend of the resident force sweep (particles/sweep.hpp), the host
+// thread count, and the task scheduler — by timing that sweep on real
+// SoaBlocks. Nothing here reads or writes the virtual cost model; every
+// backend of the sweep is bitwise identical, so applying any choice this
+// tuner makes leaves ledgers, traces, and trajectories unchanged (the
+// opt-in fast rsqrt path is never enabled here).
 //
 // Decisions persist to a small JSON cache keyed by CPU + build
 // (TuningCache), so repeat runs skip the calibration; a key mismatch
@@ -26,10 +26,11 @@
 #include <vector>
 
 #include "machine/machine_model.hpp"
-#include "particles/batched_engine.hpp"
 #include "particles/init.hpp"
 #include "particles/kernels.hpp"
 #include "particles/simd/simd.hpp"
+#include "particles/soa_block.hpp"
+#include "particles/sweep.hpp"
 #include "support/assert.hpp"
 #include "support/parallel.hpp"
 
@@ -40,9 +41,6 @@ namespace canb::core {
 struct HostTuneEntry {
   std::string kernel;
   std::uint64_t n = 0;
-  std::string engine = "batched";
-  std::uint64_t tile = particles::BatchedEngine::kTileWidth;
-  bool half_sweep = true;
   int threads = 1;
   std::string backend = "scalar";
   /// Host scheduler over per-rank/per-cell tasks: "static" or "stealing"
@@ -50,11 +48,6 @@ struct HostTuneEntry {
   /// identical either way, so applying a cached value is always safe.
   std::string sched = "static";
   int steal_grain = 1;  ///< tasks clipped per steal under "stealing"
-  /// Block-size ceiling for the inlined lane pipeline on exact-lane
-  /// kernels (particles/batched_engine.hpp kInlineLaneMax). Persisted so a
-  /// hand-tuned override survives; the tuner itself keeps the seeded
-  /// default rather than spending calibration time on it.
-  std::uint64_t inline_lane_max = particles::BatchedEngine::kInlineLaneMax;
   /// Workload shape the entry was calibrated on ("uniform", "plummer",
   /// "ring", "clusters"): clustered inputs pick different schedulers than
   /// uniform ones, so the cache keys on it.
@@ -63,13 +56,14 @@ struct HostTuneEntry {
 };
 
 /// The JSON tuning cache. Format (docs/TUNING.md):
-///   { "schema": "canb-host-tuning-v2", "machine": "...", "build": "...",
+///   { "schema": "canb-host-tuning-v3", "machine": "...", "build": "...",
 ///     "entries": [ { "kernel": ..., "n": ..., ... } ] }
-/// v1 files (no scheduler/distribution fields) fail the schema check and
-/// are discarded whole — the cost is one re-tune, never a misapplied knob.
+/// Older files (v1: no scheduler/distribution fields; v2: engine, tile,
+/// half-sweep and inline-lane knobs) fail the schema check and are
+/// discarded whole — the cost is one re-tune, never a misapplied knob.
 class TuningCache {
  public:
-  static constexpr const char* kSchema = "canb-host-tuning-v2";
+  static constexpr const char* kSchema = "canb-host-tuning-v3";
 
   /// CPU identity: /proc/cpuinfo model name (or "unknown-cpu") plus the
   /// widest SIMD backend, so a binary migrated to a narrower machine
@@ -103,12 +97,9 @@ class TuningCache {
 };
 
 /// A tuning decision in applied form. The caller is responsible for
-/// installing it (policy config engine/tuning, simd::set_backend, host
-/// pool size) — the tuner itself restores all global state after
-/// calibration.
+/// installing it (simd::set_backend, host pool size and scheduler) — the
+/// tuner itself restores all global state after calibration.
 struct HostTuneChoice {
-  particles::KernelEngine engine = particles::KernelEngine::Batched;
-  particles::SweepTuning tuning{};
   particles::simd::Backend backend = particles::simd::Backend::Scalar;
   int threads = 1;
   /// Scheduler for the host pool's task loops. Advisory like `threads`:
@@ -151,7 +142,7 @@ class HostTuner {
   };
 
   struct Candidate {
-    std::string name;  ///< e.g. "batched/half/tile128/avx2"
+    std::string name;  ///< "sweep/<backend>", e.g. "sweep/avx2"
     HostTuneChoice choice;
   };
 
@@ -175,42 +166,21 @@ class HostTuner {
     const bool saved_fast = simd::fast_rsqrt();
     simd::set_fast_rsqrt(false);  // calibration never times the opt-in path
 
-    const int n = static_cast<int>(cfg_.n);
-    particles::Block block = make_block(n);
+    particles::SoaBlock block(make_block(static_cast<int>(cfg_.n)));
     const double pairs = static_cast<double>(cfg_.n) * static_cast<double>(cfg_.n - 1);
 
+    // One candidate per SIMD backend of the resident sweep.
     Result result;
     double best = -1.0;
-    const auto consider = [&](std::string name, HostTuneChoice choice) {
-      const double sec = time_sweep(block, choice);
-      choice.pairs_per_sec = pairs / sec;
-      if (best < 0.0 || choice.pairs_per_sec > best) {
-        best = choice.pairs_per_sec;
-        result.best = choice;
+    for (int b = 0; b <= static_cast<int>(simd::max_supported()); ++b) {
+      HostTuneChoice c;
+      c.backend = static_cast<simd::Backend>(b);
+      c.pairs_per_sec = pairs / time_sweep(block, c.backend);
+      if (best < 0.0 || c.pairs_per_sec > best) {
+        best = c.pairs_per_sec;
+        result.best = c;
       }
-      result.candidates.push_back({std::move(name), choice});
-    };
-
-    {
-      HostTuneChoice scalar;
-      scalar.engine = particles::KernelEngine::Scalar;
-      scalar.backend = simd::Backend::Scalar;
-      consider("scalar", scalar);
-    }
-    const std::size_t tiles[] = {32, particles::BatchedEngine::kTileWidth};
-    for (const bool half : {false, true}) {
-      for (const std::size_t tile : tiles) {
-        for (int b = 0; b <= static_cast<int>(simd::max_supported()); ++b) {
-          HostTuneChoice c;
-          c.engine = particles::KernelEngine::Batched;
-          c.tuning.half_sweep = half;
-          c.tuning.tile = tile;
-          c.backend = static_cast<simd::Backend>(b);
-          consider(std::string("batched/") + (half ? "half" : "full") + "/tile" +
-                       std::to_string(tile) + "/" + simd::backend_name(c.backend),
-                   c);
-        }
-      }
+      result.candidates.push_back({std::string("sweep/") + simd::backend_name(c.backend), c});
     }
 
     result.best.threads = tune_threads(result.best);
@@ -255,18 +225,17 @@ class HostTuner {
     return particles::init_uniform(n, cfg_.box, cfg_.seed);
   }
 
-  /// Seconds per self-sweep of the calibration block under `choice`
-  /// (backend installed for the duration of the measurement).
-  double time_sweep(particles::Block& block, const HostTuneChoice& choice) const {
-    particles::simd::set_backend(choice.backend);
-    particles::SweepScratch scratch;
-    const auto call = [&] {
-      particles::accumulate_forces_with(
-          choice.engine, std::span<particles::Particle>(block),
-          std::span<const particles::Particle>(block), cfg_.box, cfg_.kernel, cfg_.cutoff,
-          &scratch, choice.tuning);
-    };
-    return time_call(call, cfg_.sample_seconds);
+  /// One resident sweep of a block against itself (forces accumulate
+  /// across calls; only the timing matters here).
+  void sweep_self(particles::SoaBlock& block) const {
+    particles::sweep_blocks(block, block, cfg_.box, cfg_.kernel, cfg_.cutoff);
+  }
+
+  /// Seconds per self-sweep of the calibration block on `backend`
+  /// (installed for the duration of the measurement).
+  double time_sweep(particles::SoaBlock& block, particles::simd::Backend backend) const {
+    particles::simd::set_backend(backend);
+    return time_call([&] { sweep_self(block); }, cfg_.sample_seconds);
   }
 
   /// Picks the host thread count: R independent block sweeps (the engines'
@@ -282,11 +251,10 @@ class HostTuner {
     // Smaller per-rank blocks keep the thread calibration cheap; relative
     // scaling, not absolute throughput, is what this measurement ranks.
     const int bn = static_cast<int>(std::min<std::uint64_t>(cfg_.n, 512));
-    std::vector<particles::Block> ranks;
-    std::vector<particles::SweepScratch> scratch(static_cast<std::size_t>(blocks));
+    std::vector<particles::SoaBlock> ranks;
     ranks.reserve(static_cast<std::size_t>(blocks));
     for (int r = 0; r < blocks; ++r)
-      ranks.push_back(particles::init_uniform(bn, cfg_.box, cfg_.seed + 7919u * (r + 1)));
+      ranks.emplace_back(particles::init_uniform(bn, cfg_.box, cfg_.seed + 7919u * (r + 1)));
 
     int best_t = 1;
     double best_rate = -1.0;
@@ -294,13 +262,7 @@ class HostTuner {
       ThreadPool pool(t);
       const auto call = [&] {
         pool.parallel_for_chunks(0, blocks, [&](int b, int e) {
-          for (int r = b; r < e; ++r) {
-            auto& blk = ranks[static_cast<std::size_t>(r)];
-            particles::accumulate_forces_with(
-                sweep_choice.engine, std::span<particles::Particle>(blk),
-                std::span<const particles::Particle>(blk), cfg_.box, cfg_.kernel,
-                cfg_.cutoff, &scratch[static_cast<std::size_t>(r)], sweep_choice.tuning);
-          }
+          for (int r = b; r < e; ++r) sweep_self(ranks[static_cast<std::size_t>(r)]);
         });
       };
       const double sec = time_call(call, cfg_.sample_seconds);
@@ -329,7 +291,7 @@ class HostTuner {
     // Slab split along x: clustered distributions concentrate most
     // particles (hence ~quadratic sweep cost) in a few slabs, which is
     // exactly the imbalance stealing exists to absorb.
-    std::vector<particles::Block> slabs(static_cast<std::size_t>(tasks));
+    std::vector<particles::SoaBlock> slabs(static_cast<std::size_t>(tasks));
     for (const particles::Particle& p : all) {
       int s = static_cast<int>(static_cast<double>(p.px) / cfg_.box.lx *
                                static_cast<double>(tasks));
@@ -340,22 +302,13 @@ class HostTuner {
       const double ns = static_cast<double>(slabs[static_cast<std::size_t>(t)].size());
       cost[static_cast<std::size_t>(t)] = ns * ns;
     }
-    std::vector<particles::SweepScratch> scratch(static_cast<std::size_t>(choice.threads));
-
     ThreadPool pool(choice.threads);
     const auto rate_of = [&](SchedMode mode, int grain) {
       pool.set_sched_mode(mode);
       pool.set_steal_grain(grain);
       const auto call = [&] {
         pool.parallel_tasks(
-            tasks,
-            [&](int t, int w) {
-              auto& blk = slabs[static_cast<std::size_t>(t)];
-              particles::accumulate_forces_with(
-                  choice.engine, std::span<particles::Particle>(blk),
-                  std::span<const particles::Particle>(blk), cfg_.box, cfg_.kernel,
-                  cfg_.cutoff, &scratch[static_cast<std::size_t>(w)], choice.tuning);
-            },
+            tasks, [&](int t, int) { sweep_self(slabs[static_cast<std::size_t>(t)]); },
             cost.data());
       };
       return 1.0 / time_call(call, cfg_.sample_seconds);

@@ -21,23 +21,21 @@
 #include <utility>
 #include <vector>
 
-#include "particles/batched_engine.hpp"
 #include "particles/integrator.hpp"
 #include "particles/kernels.hpp"
 #include "particles/particle.hpp"
 #include "particles/soa_block.hpp"
+#include "particles/sweep.hpp"
 #include "support/assert.hpp"
 
 namespace canb::core {
 
 /// Pairwise-interaction work units reported by a policy. Only `examined`
-/// feeds the cost model; `computed`/`half_sweep` are host-side telemetry
-/// (pair evaluations the host actually executed, and whether the N3L
-/// half-sweep path ran).
+/// feeds the cost model; `computed` is host-side telemetry (pair
+/// evaluations the host actually executed).
 struct InteractStats {
   std::uint64_t examined = 0;
   std::uint64_t computed = 0;
-  bool half_sweep = false;
 };
 
 /// Flop weight of integrating one particle for one step (charged via
@@ -92,13 +90,6 @@ class RealPolicy {
     K kernel{};
     double cutoff = 0.0;  ///< 0 = no cutoff
     double dt = 1e-3;
-    /// Host-side sweep implementation. Engines only change host wall time;
-    /// the examined counts charged to the ledger are identical, so virtual
-    /// clocks, messages, and words do not depend on this choice.
-    particles::KernelEngine engine = particles::KernelEngine::Scalar;
-    /// Host-side sweep tuning (N3L half-sweeps, tile width). Same rule as
-    /// `engine`: host wall time only, never the ledger.
-    particles::SweepTuning tuning{};
   };
 
   explicit RealPolicy(Config cfg) : cfg_(std::move(cfg)) { cfg_.box.validate(); }
@@ -106,16 +97,18 @@ class RealPolicy {
   static std::uint64_t bytes(const Buffer& b) noexcept { return particles::block_bytes(b); }
   static std::uint64_t count(const Buffer& b) noexcept { return b.size(); }
 
-  InteractStats interact(Buffer& resident, const Buffer& visitor, bool same_block) const {
-    const auto stats = particles::interact_blocks(cfg_.engine, resident, visitor, cfg_.box,
-                                                  cfg_.kernel, cfg_.cutoff, same_block,
-                                                  cfg_.tuning);
-    return {stats.examined, stats.computed, stats.half_sweep};
+  /// One resident block-block sweep (particles/sweep.hpp): no gather, no
+  /// scatter — both operands are already lanes, and forces accumulate in
+  /// place. A self step sweeps the same way as any other pair of blocks.
+  InteractStats interact(Buffer& resident, const Buffer& visitor, bool /*same_block*/) const {
+    const auto stats =
+        particles::sweep_blocks(resident, visitor, cfg_.box, cfg_.kernel, cfg_.cutoff);
+    return {stats.examined, stats.computed};
   }
 
   /// Sums force accumulators of `in` into `acc` (team reduction combine).
   /// Each add folds through float — the AoS combine summed float fields —
-  /// preserving the force-lane precision invariant (batched_engine.hpp).
+  /// preserving the force-lane precision invariant (soa_block.hpp).
   static void combine(Buffer& acc, const Buffer& in) { combine_range(acc, in, 0, acc.size()); }
 
   /// Element-range form of combine: folds elements [lo, hi) only. Elements

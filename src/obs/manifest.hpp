@@ -20,6 +20,9 @@ const char* build_compiler() noexcept;
 /// `git describe --always --dirty` of the build tree, injected by CMake
 /// via CANB_GIT_DESCRIBE; "unknown" outside a git checkout.
 const char* build_git_describe() noexcept;
+/// The host CPU's model name (first "model name" line of /proc/cpuinfo),
+/// or empty when unavailable.
+std::string host_cpu_model();
 
 struct RunManifest {
   std::string tool = "canb";

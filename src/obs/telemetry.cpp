@@ -39,7 +39,6 @@ void Telemetry::attach(vmpi::VirtualComm& vc) {
   sweep_examined_.assign(p, 0.0);
   sweep_computed_.assign(p, 0.0);
   sweep_calls_.assign(p, 0.0);
-  sweep_half_calls_.assign(p, 0.0);
   steps_ = &registry_.counter("canb_steps_total", {}, "timesteps executed");
 }
 
@@ -234,12 +233,10 @@ void Telemetry::finalize(const vmpi::VirtualComm& vc) {
   double sweep_pairs = 0.0;
   double sweep_computed = 0.0;
   double sweep_calls = 0.0;
-  double sweep_half = 0.0;
   for (std::size_t r = 0; r < sweep_examined_.size(); ++r) {
     sweep_pairs += sweep_examined_[r];
     sweep_computed += sweep_computed_[r];
     sweep_calls += sweep_calls_[r];
-    sweep_half += sweep_half_calls_[r];
   }
   // Sweep counters are process-local truths: they document the pairs THIS
   // process actually swept. Under owner-computes each group sweeps only its
@@ -255,13 +252,9 @@ void Telemetry::finalize(const vmpi::VirtualComm& vc) {
         .inc(static_cast<std::uint64_t>(sweep_pairs));
     registry_
         .counter("canb_sweep_pairs_computed_total", with_group({}),
-                 "pair evaluations actually executed on the host (an N3L half-sweep "
-                 "computes about half of canb_sweep_pairs_total)")
+                 "pair evaluations actually executed on the host (under a cutoff, "
+                 "only the pairs in range)")
         .inc(static_cast<std::uint64_t>(sweep_computed));
-    registry_
-        .gauge("canb_sweep_half_ratio", with_group({}),
-               "fraction of sweep calls that took the N3L half-sweep path")
-        .set(sweep_half / sweep_calls);
   }
   if (!sweep_backend_.empty()) {
     registry_
@@ -303,15 +296,13 @@ void Telemetry::on_collective(vmpi::Phase phase, bool is_reduce, int /*members*/
   s.bytes_total->inc(bytes);
 }
 
-void Telemetry::on_sweep(int rank, std::uint64_t examined, std::uint64_t computed,
-                         bool half_sweep) noexcept {
+void Telemetry::on_sweep(int rank, std::uint64_t examined, std::uint64_t computed) noexcept {
   // Pool threads hit distinct ranks only; the registry is not touched here.
   const auto r = static_cast<std::size_t>(rank);
   if (r >= sweep_examined_.size()) return;  // not attached
   sweep_examined_[r] += static_cast<double>(examined);
   sweep_computed_[r] += static_cast<double>(computed);
   sweep_calls_[r] += 1.0;
-  if (half_sweep) sweep_half_calls_[r] += 1.0;
 }
 
 void Telemetry::on_compute(int rank, double seconds) {

@@ -72,10 +72,8 @@ class Telemetry final : public vmpi::CommObserver {
   /// InteractionCount fields. Threading mirrors on_compute: pool workers
   /// hit distinct ranks only, so the per-rank accumulators are race-free.
   /// `examined` is the ledger unit; `computed` counts pair evaluations the
-  /// host actually executed (an N3L half-sweep computes ~half of
-  /// `examined`); `half_sweep` marks that the half-sweep path ran.
-  void on_sweep(int rank, std::uint64_t examined, std::uint64_t computed,
-                bool half_sweep) noexcept;
+  /// host actually executed (under a cutoff, only the pairs in range).
+  void on_sweep(int rank, std::uint64_t examined, std::uint64_t computed) noexcept;
 
   /// Names the SIMD backend the sweeps dispatched to; published by
   /// finalize() as canb_sweep_backend{backend=...}. Set by the Simulation
@@ -182,7 +180,6 @@ class Telemetry final : public vmpi::CommObserver {
   std::vector<double> sweep_examined_;
   std::vector<double> sweep_computed_;
   std::vector<double> sweep_calls_;
-  std::vector<double> sweep_half_calls_;
   std::string sweep_backend_;
   /// HOST wall seconds per phase spent physically moving buffers (the data
   /// plane's copy/fold/route time). Written from the serial orchestration

@@ -1,10 +1,15 @@
 // The batched kernel engine: SoA-tiled, branch-minimized force sweeps.
 //
+// Scope: the span and cell-list sweeps (particles::SerialReference with
+// KernelEngine::Batched, cell_list_forces, bench/kernel_engines_bench). The
+// resident path every CA engine runs is particles/sweep.hpp instead.
+//
 // Host time vs virtual time: everything in this file changes only how fast
 // the *host* executes a block-block interaction. The α-β-γ ledger is charged
 // from the returned InteractionCount, so both engines must agree on
 // `examined`/`within_cutoff` exactly (bitwise) — tests enforce this. The
-// scalar path stays the exactness reference.
+// scalar AoS loop (particles::accumulate_forces) stays the exactness
+// reference.
 //
 // The sweep is generic over its operand layout: resident SoaBlocks (float
 // lanes, promoted to double per load — an exact conversion the vectorizer
@@ -37,7 +42,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 #include <type_traits>
 
 #include "particles/kernels.hpp"
@@ -54,11 +58,6 @@ namespace canb::particles {
 /// construction.
 enum class KernelEngine { Scalar, Batched };
 
-const char* engine_name(KernelEngine e) noexcept;
-
-/// Parses "scalar" | "batched" (raises PreconditionError otherwise).
-KernelEngine parse_engine(const std::string& name);
-
 /// Caller-owned scratch tiles for the span-based sweep paths (the serial
 /// reference, benches, and the cell-list neighborhood gathers). Owning the
 /// scratch at the call site bounds its lifetime to the simulation using it —
@@ -68,18 +67,6 @@ struct SweepScratch {
   SoaTile targets;
   SoaTile sources;
 };
-
-/// The coupling factor for a lane pair (same promotion as pair_coupling:
-/// each float lane widens to double before the product).
-template <class K, class TgtT, class SrcT>
-inline double lane_coupling(const TgtT& a, std::size_t i, const SrcT& b, std::size_t j) noexcept {
-  if constexpr (K::kCoupling == Coupling::Charge)
-    return static_cast<double>(a.charges()[i]) * static_cast<double>(b.charges()[j]);
-  else if constexpr (K::kCoupling == Coupling::Mass)
-    return static_cast<double>(a.masses()[i]) * static_cast<double>(b.masses()[j]);
-  else
-    return 1.0;
-}
 
 class BatchedEngine {
  public:
@@ -752,10 +739,9 @@ class BatchedEngine {
   }
 };
 
-/// Host-side sweep tuning knobs, threaded from the policy configuration
-/// (and ultimately the HostTuner / CLI) down to the batched engine. All
-/// knobs change host execution only — never `examined` or anything else
-/// the virtual cost model sees.
+/// Host-side tuning knobs of the batched span sweeps. All knobs change host
+/// execution only — never `examined` or anything else the virtual cost
+/// model sees.
 struct SweepTuning {
   bool half_sweep = true;                          ///< N3L path for self-interactions
   std::size_t tile = BatchedEngine::kTileWidth;    ///< source-tile width
@@ -764,78 +750,6 @@ struct SweepTuning {
   /// that fixes the PR 6 small-block regression without a calibration run.
   std::size_t inline_lane_max = BatchedEngine::kInlineLaneMax;
 };
-
-/// Scalar block-block sweep over resident SoA lanes: pair-for-pair the same
-/// traversal order, branch structure, and min-image arithmetic as the AoS
-/// particles::accumulate_forces, with the per-target double accumulation
-/// landing in the block's double force lanes.
-template <ForceKernel K>
-InteractionCount accumulate_forces_scalar(SoaBlock& tgt, const SoaBlock& src, const Box& box,
-                                          const K& kernel, double cutoff = 0.0) {
-  InteractionCount count;
-  const double cutoff2 = cutoff > 0.0 ? cutoff * cutoff : 0.0;
-  const bool periodic = box.boundary == Boundary::Periodic;
-  const bool two_d = box.dims == 2;
-  const std::size_t nt = tgt.size();
-  const std::size_t ns = src.size();
-  for (std::size_t i = 0; i < nt; ++i) {
-    const double xi = static_cast<double>(tgt.px[i]);
-    const double yi = two_d ? static_cast<double>(tgt.py[i]) : 0.0;
-    const std::int32_t idi = tgt.id[i];
-    double ax = 0.0;
-    double ay = 0.0;
-    for (std::size_t j = 0; j < ns; ++j) {
-      if (idi == src.id[j]) continue;
-      ++count.examined;
-      double dx = xi - static_cast<double>(src.px[j]);
-      double dy = two_d ? yi - static_cast<double>(src.py[j]) : 0.0;
-      if (periodic) {
-        if (dx > 0.5 * box.lx)
-          dx -= box.lx;
-        else if (dx < -0.5 * box.lx)
-          dx += box.lx;
-        if (two_d) {
-          if (dy > 0.5 * box.ly)
-            dy -= box.ly;
-          else if (dy < -0.5 * box.ly)
-            dy += box.ly;
-        }
-      }
-      const double r2 = dx * dx + dy * dy;
-      if (cutoff2 > 0.0 && r2 > cutoff2) continue;
-      ++count.within_cutoff;
-      ++count.computed;
-      const double mag = kernel.magnitude(r2, lane_coupling<K>(tgt, i, src, j));
-      ax += mag * dx;
-      ay += mag * dy;
-    }
-    // Float fold per target, as the AoS loop's `t.fx += float(ax)` (see the
-    // precision invariant in the header comment).
-    tgt.fx[i] = static_cast<double>(static_cast<float>(tgt.fx[i]) + static_cast<float>(ax));
-    tgt.fy[i] = static_cast<double>(static_cast<float>(tgt.fy[i]) + static_cast<float>(ay));
-  }
-  return count;
-}
-
-/// Engine-dispatched resident block-block interaction: the entry point the
-/// policy layer calls. No gather, no scatter — both operands are already
-/// lanes, and forces accumulate in place. `same_block` marks the visitor as
-/// a bitwise replica of the resident (or the resident itself): the batched
-/// engine then takes the N3L half-sweep when the tuning allows it.
-template <ForceKernel K>
-InteractionCount interact_blocks(KernelEngine engine, SoaBlock& resident,
-                                 const SoaBlock& visitor, const Box& box, const K& kernel,
-                                 double cutoff = 0.0, bool same_block = false,
-                                 const SweepTuning& tuning = {}) {
-  if (engine == KernelEngine::Batched) {
-    if (same_block && tuning.half_sweep)
-      return BatchedEngine::sweep_self(resident, visitor, box, kernel, cutoff, tuning.tile,
-                                       tuning.inline_lane_max);
-    return BatchedEngine::sweep(resident, visitor, box, kernel, cutoff, tuning.tile,
-                                tuning.inline_lane_max);
-  }
-  return accumulate_forces_scalar(resident, visitor, box, kernel, cutoff);
-}
 
 /// Batched counterpart of particles::accumulate_forces for AoS spans (the
 /// serial reference and engine-parity tests): packs both spans into tiles,

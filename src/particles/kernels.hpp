@@ -100,6 +100,19 @@ double pair_coupling(const Particle& a, const Particle& b) noexcept {
     return 1.0;
 }
 
+/// The coupling factor for a lane pair of SoA operands (anything exposing
+/// charges()/masses() lanes): the same promotion as pair_coupling, each
+/// float lane widened to double before the product.
+template <class K, class TgtT, class SrcT>
+inline double lane_coupling(const TgtT& a, std::size_t i, const SrcT& b, std::size_t j) noexcept {
+  if constexpr (K::kCoupling == Coupling::Charge)
+    return static_cast<double>(a.charges()[i]) * static_cast<double>(b.charges()[j]);
+  else if constexpr (K::kCoupling == Coupling::Mass)
+    return static_cast<double>(a.masses()[i]) * static_cast<double>(b.masses()[j]);
+  else
+    return 1.0;
+}
+
 /// Repulsive inverse-square force (the paper's kernel):
 ///   F = strength * charge_a * charge_b / (r^2 + eps^2), directed a <- b.
 struct InverseSquareRepulsion {
@@ -316,12 +329,12 @@ struct SoftSphere {
 ///
 /// `examined` is the cost-model unit and is what the vmpi ledger is
 /// charged from: it counts pairs *visited by the algorithm*, and is
-/// identical whether the host executes a full sweep or an N3L half-sweep
-/// (a half-sweep visits each unordered pair once but accounts for both
+/// identical however the host executes the sweep (the batched engine's
+/// N3L half-sweep visits each unordered pair once but accounts for both
 /// directed pairs). `computed` is the host-side work metric: directed
-/// pair interactions actually evaluated, so a half-sweep reports roughly
-/// half of `examined`. Telemetry exposes both; the cost model never
-/// reads `computed`.
+/// pair interactions actually evaluated — roughly half of `examined` for
+/// a half-sweep, only the pairs in range for the resident sweep under a
+/// cutoff. Telemetry exposes both; the cost model never reads `computed`.
 struct InteractionCount {
   std::uint64_t examined = 0;       ///< pairs visited (cost-model unit)
   std::uint64_t within_cutoff = 0;  ///< pairs that actually contributed

@@ -73,7 +73,73 @@ void inv_cube_exact_scalar(const double* r2, const double* cpl, double* out, std
   }
 }
 
+// --- force-sweep test pass --------------------------------------------------
+// One lane of the reference loop's geometry (particles::accumulate_forces):
+// promote, subtract, minimum image as particles::min_image does it (compare
+// against half the box, then one subtract or one add of the box length),
+// r2 = dx*dx + dy*dy. The vector bodies below run the same op sequence with
+// compares and blends, so all three agree bitwise with the reference.
+inline double wrap_one(double d, double wrap) noexcept {
+  const double h = 0.5 * wrap;
+  return d > h ? d - wrap : (d < -h ? d + wrap : d);
+}
+
+template <bool kPeriodic, bool kTwoD, bool kCut>
+inline void test_one(const LaneTest& row, const float* sx, const float* sy,
+                     const std::int32_t* sid, std::size_t j, double* dx, double* dy, double* r2,
+                     std::uint32_t* keep, std::size_t& kept, std::size_t& self) noexcept {
+  double x = row.x - static_cast<double>(sx[j]);
+  double y = kTwoD ? row.y - static_cast<double>(sy[j]) : 0.0;
+  if constexpr (kPeriodic) {
+    x = wrap_one(x, row.wrap_x);
+    if constexpr (kTwoD) y = wrap_one(y, row.wrap_y);
+  }
+  double d2 = x * x + y * y;
+  const bool same = sid[j] == row.id;
+  self += static_cast<std::size_t>(same);
+  if constexpr (kCut) {
+    // Unconditional store, conditional advance: index j lands at keep[kept]
+    // (kept <= j, so the write stays inside the first n entries).
+    keep[kept] = static_cast<std::uint32_t>(j);
+    kept += static_cast<std::size_t>(!same && !(d2 > row.cut2));
+  } else {
+    x = same ? 0.0 : x;
+    y = same ? 0.0 : y;
+    d2 = same ? 1.0 : d2;
+  }
+  dx[j] = x;
+  dy[j] = y;
+  r2[j] = d2;
+}
+
+template <bool kPeriodic, bool kTwoD, bool kCut>
+LaneTestCount test_lanes_scalar(const LaneTest& row, const float* sx, const float* sy,
+                                const std::int32_t* sid, std::size_t n, double* dx, double* dy,
+                                double* r2, std::uint32_t* keep) noexcept {
+  std::size_t kept = 0;
+  std::size_t self = 0;
+  for (std::size_t j = 0; j < n; ++j)
+    test_one<kPeriodic, kTwoD, kCut>(row, sx, sy, sid, j, dx, dy, r2, keep, kept, self);
+  return {kCut ? kept : n - self, n - self};
+}
+
 #if CANB_SIMD_X86
+
+// Left-pack tables for the vector test bodies: entry m lists the set bit
+// positions of lane mask m in ascending order (the rest are don't-cares).
+template <int kLanes>
+struct PackTable {
+  alignas(16) std::uint32_t idx[1 << kLanes][4] = {};
+  constexpr PackTable() {
+    for (int m = 0; m < (1 << kLanes); ++m) {
+      int k = 0;
+      for (int b = 0; b < kLanes; ++b)
+        if ((m >> b) & 1) idx[m][k++] = static_cast<std::uint32_t>(b);
+    }
+  }
+};
+constexpr PackTable<2> kPack2{};
+constexpr PackTable<4> kPack4{};
 
 // Fast path: d2^{-3/2} = y^3 from the hardware rsqrt estimate (float,
 // relative error <= 3.7e-4) refined by two FMA-free Newton iterations
@@ -232,7 +298,162 @@ __attribute__((target("avx2"))) void inv_cube_fast_avx2(const double* r2, const 
   for (; i < n; ++i) out[i] = inv_cube_fast_one(r2[i] + soft2, scale * cpl[i]);
 }
 
+// --- force-sweep test pass: SSE2 (2 lanes) and AVX2 (4 lanes) ----------------
+// Each body is wrap_one/test_one lane-parallel: the minimum-image candidates
+// d - L and d + L are selected by the (exclusive) d > L/2 and d < -L/2
+// masks; kept lanes are left-packed through the tables above by their mask
+// bits; the tail runs test_one itself.
+
+inline __m128d select_sse2(__m128d mask, __m128d if_set, __m128d if_clear) noexcept {
+  return _mm_or_pd(_mm_and_pd(mask, if_set), _mm_andnot_pd(mask, if_clear));
+}
+
+inline __m128d wrap_sse2(__m128d d, __m128d w, __m128d h, __m128d nh) noexcept {
+  const __m128d wrapped = select_sse2(_mm_cmpgt_pd(d, h), _mm_sub_pd(d, w), d);
+  return select_sse2(_mm_cmplt_pd(d, nh), _mm_add_pd(d, w), wrapped);
+}
+
+template <bool kPeriodic, bool kTwoD, bool kCut>
+LaneTestCount test_lanes_sse2(const LaneTest& row, const float* sx, const float* sy,
+                              const std::int32_t* sid, std::size_t n, double* dx, double* dy,
+                              double* r2, std::uint32_t* keep) noexcept {
+  const __m128d xi = _mm_set1_pd(row.x);
+  const __m128d yi = _mm_set1_pd(row.y);
+  const __m128d wx = _mm_set1_pd(row.wrap_x);
+  const __m128d hx = _mm_set1_pd(0.5 * row.wrap_x);
+  const __m128d nhx = _mm_set1_pd(-(0.5 * row.wrap_x));
+  const __m128d wy = _mm_set1_pd(row.wrap_y);
+  const __m128d hy = _mm_set1_pd(0.5 * row.wrap_y);
+  const __m128d nhy = _mm_set1_pd(-(0.5 * row.wrap_y));
+  const __m128d cut2 = _mm_set1_pd(row.cut2);
+  const __m128d one = _mm_set1_pd(1.0);
+  const __m128i id = _mm_set1_epi32(row.id);
+  std::size_t kept = 0;
+  std::size_t self = 0;
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    const auto load2 = [](const float* p) {
+      return _mm_cvtps_pd(_mm_castsi128_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+    };
+    __m128d x = _mm_sub_pd(xi, load2(sx + j));
+    __m128d y = kTwoD ? _mm_sub_pd(yi, load2(sy + j)) : _mm_setzero_pd();
+    if constexpr (kPeriodic) {
+      x = wrap_sse2(x, wx, hx, nhx);
+      if constexpr (kTwoD) y = wrap_sse2(y, wy, hy, nhy);
+    }
+    __m128d d2 = _mm_add_pd(_mm_mul_pd(x, x), _mm_mul_pd(y, y));
+    const __m128i same32 =
+        _mm_cmpeq_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(sid + j)), id);
+    const __m128d same = _mm_castsi128_pd(_mm_unpacklo_epi32(same32, same32));
+    const int self_bits = _mm_movemask_pd(same);
+    self += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(self_bits)));
+    if constexpr (kCut) {
+      const int far_bits = _mm_movemask_pd(_mm_cmpgt_pd(d2, cut2));
+      const int keep_bits = ~(self_bits | far_bits) & 0x3;
+      const __m128i packed =
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(kPack2.idx[keep_bits]));
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(keep + kept),
+                       _mm_add_epi32(packed, _mm_set1_epi32(static_cast<int>(j))));
+      kept += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(keep_bits)));
+    } else {
+      x = _mm_andnot_pd(same, x);
+      y = _mm_andnot_pd(same, y);
+      d2 = select_sse2(same, one, d2);
+    }
+    _mm_storeu_pd(dx + j, x);
+    _mm_storeu_pd(dy + j, y);
+    _mm_storeu_pd(r2 + j, d2);
+  }
+  for (; j < n; ++j)
+    test_one<kPeriodic, kTwoD, kCut>(row, sx, sy, sid, j, dx, dy, r2, keep, kept, self);
+  return {kCut ? kept : n - self, n - self};
+}
+
+__attribute__((target("avx2"))) inline __m256d wrap_avx2(__m256d d, __m256d w, __m256d h,
+                                                         __m256d nh) noexcept {
+  const __m256d wrapped = _mm256_blendv_pd(d, _mm256_sub_pd(d, w), _mm256_cmp_pd(d, h, _CMP_GT_OQ));
+  return _mm256_blendv_pd(wrapped, _mm256_add_pd(d, w), _mm256_cmp_pd(d, nh, _CMP_LT_OQ));
+}
+
+template <bool kPeriodic, bool kTwoD, bool kCut>
+__attribute__((target("avx2"))) LaneTestCount test_lanes_avx2(
+    const LaneTest& row, const float* sx, const float* sy, const std::int32_t* sid,
+    std::size_t n, double* dx, double* dy, double* r2, std::uint32_t* keep) noexcept {
+  const __m256d xi = _mm256_set1_pd(row.x);
+  const __m256d yi = _mm256_set1_pd(row.y);
+  const __m256d wx = _mm256_set1_pd(row.wrap_x);
+  const __m256d hx = _mm256_set1_pd(0.5 * row.wrap_x);
+  const __m256d nhx = _mm256_set1_pd(-(0.5 * row.wrap_x));
+  const __m256d wy = _mm256_set1_pd(row.wrap_y);
+  const __m256d hy = _mm256_set1_pd(0.5 * row.wrap_y);
+  const __m256d nhy = _mm256_set1_pd(-(0.5 * row.wrap_y));
+  const __m256d cut2 = _mm256_set1_pd(row.cut2);
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m128i id = _mm_set1_epi32(row.id);
+  std::size_t kept = 0;
+  std::size_t self = 0;
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    __m256d x = _mm256_sub_pd(xi, _mm256_cvtps_pd(_mm_loadu_ps(sx + j)));
+    __m256d y = kTwoD ? _mm256_sub_pd(yi, _mm256_cvtps_pd(_mm_loadu_ps(sy + j)))
+                      : _mm256_setzero_pd();
+    if constexpr (kPeriodic) {
+      x = wrap_avx2(x, wx, hx, nhx);
+      if constexpr (kTwoD) y = wrap_avx2(y, wy, hy, nhy);
+    }
+    __m256d d2 = _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y));
+    const __m128i same32 =
+        _mm_cmpeq_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(sid + j)), id);
+    const int self_bits = _mm_movemask_ps(_mm_castsi128_ps(same32));
+    self += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(self_bits)));
+    if constexpr (kCut) {
+      const int far_bits = _mm256_movemask_pd(_mm256_cmp_pd(d2, cut2, _CMP_GT_OQ));
+      const int keep_bits = ~(self_bits | far_bits) & 0xF;
+      const __m128i packed =
+          _mm_load_si128(reinterpret_cast<const __m128i*>(kPack4.idx[keep_bits]));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(keep + kept),
+                       _mm_add_epi32(packed, _mm_set1_epi32(static_cast<int>(j))));
+      kept += static_cast<std::size_t>(__builtin_popcount(static_cast<unsigned>(keep_bits)));
+    } else {
+      const __m256d same = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(same32));
+      x = _mm256_andnot_pd(same, x);
+      y = _mm256_andnot_pd(same, y);
+      d2 = _mm256_blendv_pd(d2, one, same);
+    }
+    _mm256_storeu_pd(dx + j, x);
+    _mm256_storeu_pd(dy + j, y);
+    _mm256_storeu_pd(r2 + j, d2);
+  }
+  for (; j < n; ++j)
+    test_one<kPeriodic, kTwoD, kCut>(row, sx, sy, sid, j, dx, dy, r2, keep, kept, self);
+  return {kCut ? kept : n - self, n - self};
+}
+
 #endif  // CANB_SIMD_X86
+
+using TestLanesFn = LaneTestCount (*)(const LaneTest&, const float*, const float*,
+                                      const std::int32_t*, std::size_t, double*, double*,
+                                      double*, std::uint32_t*) noexcept;
+
+template <bool kPeriodic, bool kTwoD, bool kCut>
+TestLanesFn test_lanes_body(Backend b) noexcept {
+#if CANB_SIMD_X86
+  switch (b) {
+    case Backend::Avx2: return &test_lanes_avx2<kPeriodic, kTwoD, kCut>;
+    case Backend::Sse2: return &test_lanes_sse2<kPeriodic, kTwoD, kCut>;
+    case Backend::Scalar: break;
+  }
+#else
+  (void)b;
+#endif
+  return &test_lanes_scalar<kPeriodic, kTwoD, kCut>;
+}
+
+template <bool kPeriodic, bool kTwoD>
+TestLanesFn test_lanes_body(Backend b, bool cut) noexcept {
+  return cut ? test_lanes_body<kPeriodic, kTwoD, true>(b)
+             : test_lanes_body<kPeriodic, kTwoD, false>(b);
+}
 
 // --- dispatch state ---------------------------------------------------------
 
@@ -328,6 +549,19 @@ void exp_lanes(const double* x, double* out, std::size_t n) noexcept {
   }
 #endif
   exp_lanes_scalar(x, out, n);
+}
+
+LaneTestCount test_lanes(const LaneTest& row, const float* sx, const float* sy,
+                         const std::int32_t* sid, std::size_t n, double* dx, double* dy,
+                         double* r2, std::uint32_t* keep) noexcept {
+  const Backend b = active();
+  const bool cut = row.cut2 > 0.0;
+  TestLanesFn body = nullptr;
+  if (row.wrap_x > 0.0)
+    body = row.two_d ? test_lanes_body<true, true>(b, cut) : test_lanes_body<true, false>(b, cut);
+  else
+    body = row.two_d ? test_lanes_body<false, true>(b, cut) : test_lanes_body<false, false>(b, cut);
+  return body(row, sx, sy, sid, n, dx, dy, r2, keep);
 }
 
 }  // namespace canb::particles::simd

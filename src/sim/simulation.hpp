@@ -51,7 +51,7 @@ const char* method_name(Method m) noexcept;
 
 /// Host autotuning mode (core/host_tuner.hpp).
 enum class TuneMode {
-  Off,    ///< apply Config::engine / Config::sweep exactly as given
+  Off,    ///< apply Config::sched / steal_grain and the SIMD dispatch as given
   Auto,   ///< use a cached decision when present, calibrate on a miss
   Force,  ///< always re-calibrate and overwrite the cache entry
 };
@@ -92,13 +92,6 @@ class Simulation {
     double cutoff = 0.0;  ///< required > 0 for Method::CaCutoff
     double dt = 1e-3;
     std::string integrator = "velocity-verlet";
-    /// Host-side force sweep implementation (see particles/batched_engine.hpp).
-    /// Affects host wall time only: the virtual-time ledger is engine-invariant.
-    particles::KernelEngine engine = particles::KernelEngine::Scalar;
-    /// Sweep knobs for the batched engine (N3L half-sweep, tile width).
-    /// Host wall time only, like `engine`; overwritten by the tuner when
-    /// `tune` is not Off.
-    particles::SweepTuning sweep{};
     /// Host task scheduler for the attached pool (support/parallel.hpp):
     /// installed on the pool by set_host_pool. Execution order only —
     /// trajectories, ledgers, and traces are bitwise identical under
@@ -107,9 +100,9 @@ class Simulation {
     SchedMode sched = SchedMode::kStatic;
     /// Max tasks clipped per steal (stealing mode only; clamped >= 1).
     int steal_grain = 1;
-    /// Host autotuning. Off leaves `engine`/`sweep`/SIMD dispatch exactly
-    /// as configured; Auto/Force run core::HostTuner at construction and
-    /// install its choice (engine, sweep knobs, scheduler, SIMD backend).
+    /// Host autotuning. Off leaves `sched`/`steal_grain`/SIMD dispatch
+    /// exactly as configured; Auto/Force run core::HostTuner at
+    /// construction and install its choice (scheduler, SIMD backend).
     /// The tuned thread count is reported via tuned() — attaching a pool
     /// is still the caller's call (set_host_pool).
     TuneMode tune = TuneMode::Off;
@@ -223,7 +216,6 @@ class Simulation {
     manifest_.set("c", cfg_.c);
     manifest_.set("dt", cfg_.dt);
     if (cfg_.cutoff > 0.0) manifest_.set("cutoff", cfg_.cutoff);
-    manifest_.set("engine", particles::engine_name(cfg_.engine));
     manifest_.set("obs_level", obs::obs_level_name(cfg_.obs));
     if (cfg_.transport) {
       manifest_.set("transport", vmpi::transport_kind_name(cfg_.transport->kind()));
@@ -448,8 +440,8 @@ class Simulation {
       std::variant<CaAllPairsT, CaCutoffT, SpatialHaloT, MidpointT, RingT, AllGatherT, ForceT>;
 
   /// Runs the host tuner when Config::tune asks for it and installs the
-  /// winning choice into `cfg` (engine, sweep knobs) and the process SIMD
-  /// dispatch. Runs before make_engine so the policy sees the tuned config.
+  /// winning choice into `cfg` (scheduler) and the process SIMD dispatch.
+  /// Runs before make_engine so the first sweep already uses the backend.
   static std::optional<core::HostTuneChoice> maybe_tune(Config& cfg, std::size_t total_n) {
     if (cfg.tune == TuneMode::Off) return std::nullopt;
     // Calibrate at the per-rank resident block size the sweeps will see.
@@ -476,8 +468,6 @@ class Simulation {
       result = tuner.tune_with_cache(cache, cfg.tune == TuneMode::Force);
       if (!result.candidates.empty()) cache.save(cfg.tune_cache);  // measured fresh
     }
-    cfg.engine = result.best.engine;
-    cfg.sweep = result.best.tuning;
     cfg.sched = result.best.sched;
     cfg.steal_grain = result.best.steal_grain;
     particles::simd::set_backend(result.best.backend);
@@ -486,8 +476,7 @@ class Simulation {
 
   static EngineVariant make_engine(const Config& cfg, particles::Block initial) {
     cfg.box.validate();
-    Policy policy(typename Policy::Config{cfg.box, cfg.kernel, cfg.cutoff, cfg.dt, cfg.engine,
-                                          cfg.sweep});
+    Policy policy(typename Policy::Config{cfg.box, cfg.kernel, cfg.cutoff, cfg.dt});
     switch (cfg.method) {
       case Method::CaAllPairs: {
         const int q = cfg.p / cfg.c;

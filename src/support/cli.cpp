@@ -46,16 +46,43 @@ std::string CliArgs::get(const std::string& key, const std::string& fallback) co
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Parses the whole of `value` with `parse` (std::stoll / std::stod style);
+/// anything left over, or no number at all, is a usage error naming `key`.
+template <class T, class Parse>
+T parse_number(const std::string& key, const std::string& value, const char* kind,
+               Parse parse) {
+  std::size_t used = 0;
+  T out{};
+  try {
+    out = parse(value, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  CANB_REQUIRE(!value.empty() && used == value.size(),
+               "--" + key + " expects " + kind + ", got '" + value + "'");
+  return out;
+}
+
+}  // namespace
+
 long long CliArgs::get_int(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_number<long long>(key, it->second, "an integer",
+                                 [](const std::string& v, std::size_t* used) {
+                                   return std::stoll(v, used);
+                                 });
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_number<double>(key, it->second, "a number",
+                              [](const std::string& v, std::size_t* used) {
+                                return std::stod(v, used);
+                              });
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
@@ -65,9 +92,13 @@ bool CliArgs::get_bool(const std::string& key, bool fallback) const {
 }
 
 std::string CliArgs::usage(const std::string& program) const {
+  return format_usage(program, known_);
+}
+
+std::string format_usage(const std::string& program, const std::vector<std::string>& known) {
   std::ostringstream os;
   os << "usage: " << program;
-  for (const auto& k : known_) os << " [--" << k << "=...]";
+  for (const auto& k : known) os << " [--" << k << "=...]";
   return os.str();
 }
 

@@ -19,6 +19,8 @@ class CliArgs {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  /// Numeric getters raise PreconditionError naming the option when the
+  /// value is not entirely a number of that type.
   long long get_int(const std::string& key, long long fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
@@ -34,5 +36,8 @@ class CliArgs {
   std::vector<std::string> known_;
   std::vector<std::string> positional_;
 };
+
+/// "usage: <program> [--opt=...] ..." for an option list.
+std::string format_usage(const std::string& program, const std::vector<std::string>& known);
 
 }  // namespace canb

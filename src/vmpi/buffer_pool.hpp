@@ -102,6 +102,8 @@ class BufferPool {
   /// served fresh (default-constructed) vs. from recycled capacity.
   std::uint64_t fresh_count() const noexcept { return fresh_; }
   std::uint64_t reused_count() const noexcept { return reused_; }
+  /// Idle blocks currently held for acquire().
+  std::size_t size() const noexcept { return blocks_.size(); }
 
  private:
   std::vector<B> blocks_;

@@ -18,17 +18,27 @@ void encode_frame(const Frame& f, wire::Bytes& out) {
   w.raw(f.payload.data(), f.payload.size());
 }
 
-Frame decode_frame_body(std::span<const std::byte> body) {
+Frame decode_frame_header(std::span<const std::byte> body) {
   CANB_ASSERT_MSG(body.size() >= kFrameHeaderBytes, "frame body shorter than header");
-  wire::Reader r(body);
+  wire::Reader r(body.first(kFrameHeaderBytes));
   Frame f;
   f.kind = static_cast<FrameKind>(r.scalar<std::uint8_t>());
   f.src = r.scalar<std::uint32_t>();
   f.dst = r.scalar<std::uint32_t>();
   f.tag = r.scalar<std::uint64_t>();
   f.seq = r.scalar<std::uint64_t>();
-  f.payload.resize(r.remaining());
-  r.raw(f.payload.data(), f.payload.size());
+  return f;
+}
+
+std::span<const std::byte> frame_payload(std::span<const std::byte> body) {
+  CANB_ASSERT_MSG(body.size() >= kFrameHeaderBytes, "frame body shorter than header");
+  return body.subspan(kFrameHeaderBytes);
+}
+
+Frame decode_frame_body(std::span<const std::byte> body) {
+  Frame f = decode_frame_header(body);
+  const auto payload = frame_payload(body);
+  f.payload.assign(payload.begin(), payload.end());
   return f;
 }
 

@@ -54,6 +54,10 @@ struct Frame {
 /// stream is self-delimiting (length-prefixed framing).
 void encode_frame(const Frame& f, wire::Bytes& out);
 Frame decode_frame_body(std::span<const std::byte> body);
+/// The header fields of a frame body; the payload is left empty, for a
+/// caller that copies frame_payload(body) into a buffer of its choosing.
+Frame decode_frame_header(std::span<const std::byte> body);
+std::span<const std::byte> frame_payload(std::span<const std::byte> body);
 
 /// Number of bytes in the fixed header *after* the u64 length prefix.
 inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4 + 8 + 8;

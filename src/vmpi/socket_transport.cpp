@@ -375,7 +375,19 @@ void SocketTransport::reader_loop(Peer& p) {
     if (!read_exact(p.fd, reinterpret_cast<std::byte*>(&body_len), sizeof body_len)) return;
     body.resize(body_len);
     if (!read_exact(p.fd, body.data(), body.size())) return;
-    Frame f = decode_frame_body(body);
+    Frame f = decode_frame_header(body);
+    if (f.kind == FrameKind::Data && f.dst < static_cast<std::uint32_t>(cfg_.ranks) &&
+        local(static_cast<int>(f.dst))) {
+      // Remote payloads land in a buffer taken from the destination's pool,
+      // as local sends do: recv() returns one buffer to that pool per frame
+      // it hands out, so takes and returns stay balanced and the pool never
+      // holds more buffers than frames were ever queued at once.
+      Mailbox& box = *boxes_[static_cast<std::size_t>(f.dst)];
+      std::lock_guard<std::mutex> lk(box.mu);
+      f.payload = box.pool.acquire();
+    }
+    const auto payload = frame_payload(body);
+    f.payload.assign(payload.begin(), payload.end());
     switch (f.kind) {
       case FrameKind::Ack: {
         std::lock_guard<std::mutex> lk(p.io_mu);
@@ -488,6 +500,12 @@ void SocketTransport::flush_peers() {
 TransportStats SocketTransport::stats() const {
   std::lock_guard<std::mutex> lk(stats_mu_);
   return stats_;
+}
+
+std::size_t SocketTransport::pooled_buffers(int rank) const {
+  Mailbox& box = *boxes_[static_cast<std::size_t>(rank)];
+  std::lock_guard<std::mutex> lk(box.mu);
+  return box.pool.size();
 }
 
 // ---------------------------------------------------------------------------

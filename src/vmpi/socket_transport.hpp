@@ -80,6 +80,10 @@ class SocketTransport final : public Transport {
 
   TransportStats stats() const override;
 
+  /// Idle payload buffers held for local rank `rank`'s mailbox (recycled
+  /// by recv(), taken by every frame posted to it).
+  std::size_t pooled_buffers(int rank) const;
+
   /// Balanced block partition of ranks over groups.
   int group_of(int rank) const noexcept;
   int group() const noexcept override { return cfg_.group; }

@@ -5,6 +5,7 @@
 // never leaks SIMD dispatch state, and is skipped entirely on a cache hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -41,14 +42,10 @@ HostTuneEntry sample_entry() {
   HostTuneEntry e;
   e.kernel = "inverse_square";
   e.n = 1024;
-  e.engine = "batched";
-  e.tile = 32;
-  e.half_sweep = true;
   e.threads = 4;
   e.backend = "sse2";
   e.sched = "stealing";
   e.steal_grain = 2;
-  e.inline_lane_max = 192;
   e.distribution = "plummer";
   e.pairs_per_sec = 3.0517578125e8;
   return e;
@@ -79,14 +76,10 @@ TEST(TuningCache, SaveLoadRoundTripsEveryField) {
   HostTuneEntry b = sample_entry();
   b.kernel = "yukawa";
   b.n = 64;
-  b.engine = "scalar";
-  b.tile = 128;
-  b.half_sweep = false;
   b.threads = 1;
   b.backend = "avx2";
   b.sched = "static";
   b.steal_grain = 1;
-  b.inline_lane_max = 0;
   b.distribution = "uniform";
   cache.put(a);
   cache.put(b);
@@ -97,14 +90,10 @@ TEST(TuningCache, SaveLoadRoundTripsEveryField) {
   for (const HostTuneEntry& want : {a, b}) {
     const HostTuneEntry* got = loaded.find(want.kernel, want.n, want.distribution);
     ASSERT_NE(got, nullptr) << want.kernel;
-    EXPECT_EQ(got->engine, want.engine);
-    EXPECT_EQ(got->tile, want.tile);
-    EXPECT_EQ(got->half_sweep, want.half_sweep);
     EXPECT_EQ(got->threads, want.threads);
     EXPECT_EQ(got->backend, want.backend);
     EXPECT_EQ(got->sched, want.sched);
     EXPECT_EQ(got->steal_grain, want.steal_grain);
-    EXPECT_EQ(got->inline_lane_max, want.inline_lane_max);
     EXPECT_EQ(got->distribution, want.distribution);
     EXPECT_EQ(got->pairs_per_sec, want.pairs_per_sec);
   }
@@ -139,7 +128,7 @@ TEST(TuningCache, PutUpsertsByKernelSizeAndDistribution) {
 TEST(TuningCache, CorruptFileYieldsEmptyCache) {
   const std::string path = temp_path("tuning_corrupt.json");
   for (const char* text : {"", "{ not json at all", "[1,2,3]",
-                           "{\"schema\": \"canb-host-tuning-v2\", \"entries\": 7}"}) {
+                           "{\"schema\": \"canb-host-tuning-v3\", \"entries\": 7}"}) {
     spit(path, text);
     const TuningCache cache = TuningCache::load_or_empty(path);
     EXPECT_TRUE(cache.entries().empty()) << "text: " << text;
@@ -163,15 +152,33 @@ TEST(TuningCache, V1SchemaFileIsDiscardedWhole) {
   std::remove(path.c_str());
 }
 
+TEST(TuningCache, V2SchemaFileIsDiscardedWhole) {
+  // A cache from before the single resident sweep (schema v2: engine,
+  // tile, half-sweep and inline-lane knobs) is dropped by the schema gate,
+  // so none of those knobs can be half-applied.
+  const std::string path = temp_path("tuning_v2.json");
+  std::string v2 = "{\n  \"schema\": \"canb-host-tuning-v2\",\n  \"machine\": ";
+  v2 += '"' + TuningCache::machine_key() + "\",\n  \"build\": \"" + TuningCache::build_key();
+  v2 +=
+      "\",\n  \"entries\": [\n    {\"kernel\": \"inverse_square\", \"n\": 1024, "
+      "\"engine\": \"batched\", \"tile\": 32, \"half_sweep\": true, \"threads\": 4, "
+      "\"backend\": \"sse2\", \"sched\": \"static\", \"steal_grain\": 1, "
+      "\"inline_lane_max\": 192, \"distribution\": \"uniform\", \"pairs_per_sec\": 3e8}\n"
+      "  ]\n}\n";
+  spit(path, v2);
+  EXPECT_TRUE(TuningCache::load_or_empty(path).entries().empty());
+  std::remove(path.c_str());
+}
+
 TEST(TuningCache, EntryMissingSchedulerFieldsDiscardsWholeFile) {
-  // v2 schema claiming a v1-shaped entry: every new field is mandatory.
+  // v3 schema claiming a v1-shaped entry: every field is mandatory.
   const std::string path = temp_path("tuning_missing_sched.json");
   TuningCache cache;
   cache.put(sample_entry());
   ASSERT_TRUE(cache.save(path));
   std::string text = slurp(path);
   for (const char* field :
-       {"\"sched\": \"stealing\", ", "\"steal_grain\": 2, ", "\"inline_lane_max\": 192, ",
+       {"\"threads\": 4, ", "\"sched\": \"stealing\", ", "\"steal_grain\": 2, ",
         "\"distribution\": \"plummer\", "}) {
     std::string pruned = text;
     const auto pos = pruned.find(field);
@@ -241,10 +248,7 @@ TEST(TuningCache, InvalidEntryFieldDiscardsWholeFile) {
 TEST(TuneChoice, EntryRoundTripsThroughChoice) {
   const HostTuneEntry e = sample_entry();
   const HostTuneChoice c = core::choice_from_entry(e);
-  EXPECT_EQ(c.engine, particles::KernelEngine::Batched);
-  EXPECT_EQ(c.tuning.tile, e.tile);
-  EXPECT_EQ(c.tuning.half_sweep, e.half_sweep);
-  EXPECT_EQ(c.tuning.inline_lane_max, e.inline_lane_max);
+  EXPECT_EQ(c.backend, std::min(simd::Backend::Sse2, simd::max_supported()));
   EXPECT_EQ(c.threads, e.threads);
   EXPECT_EQ(c.sched, canb::SchedMode::kStealing);
   EXPECT_EQ(c.steal_grain, e.steal_grain);
@@ -254,14 +258,10 @@ TEST(TuneChoice, EntryRoundTripsThroughChoice) {
   const HostTuneEntry back = core::entry_from_choice(e.kernel, e.n, e.distribution, c);
   EXPECT_EQ(back.kernel, e.kernel);
   EXPECT_EQ(back.n, e.n);
-  EXPECT_EQ(back.engine, e.engine);
-  EXPECT_EQ(back.tile, e.tile);
-  EXPECT_EQ(back.half_sweep, e.half_sweep);
   EXPECT_EQ(back.threads, e.threads);
-  EXPECT_EQ(back.backend, e.backend);
+  EXPECT_EQ(back.backend, simd::backend_name(c.backend));
   EXPECT_EQ(back.sched, e.sched);
   EXPECT_EQ(back.steal_grain, e.steal_grain);
-  EXPECT_EQ(back.inline_lane_max, e.inline_lane_max);
   EXPECT_EQ(back.distribution, e.distribution);
 }
 
@@ -304,9 +304,14 @@ TEST(HostTunerTest, TuneRanksCandidatesAndRestoresSimdState) {
   const Tuner tuner(quick_config());
   const Tuner::Result result = tuner.tune();
 
-  // scalar + batched over {full,half} x {tile32,tile128} x backends.
+  // One candidate per SIMD backend of the resident sweep.
   const std::size_t backends = static_cast<std::size_t>(simd::max_supported()) + 1;
-  EXPECT_EQ(result.candidates.size(), 1 + 2 * 2 * backends);
+  ASSERT_EQ(result.candidates.size(), backends);
+  for (std::size_t b = 0; b < backends; ++b) {
+    EXPECT_EQ(result.candidates[b].choice.backend, static_cast<simd::Backend>(b));
+    EXPECT_EQ(result.candidates[b].name,
+              std::string("sweep/") + simd::backend_name(static_cast<simd::Backend>(b)));
+  }
   EXPECT_GT(result.best.pairs_per_sec, 0.0);
   EXPECT_FALSE(result.best.from_cache);
   EXPECT_GE(result.best.threads, 1);

@@ -1,9 +1,11 @@
 // Kernel-generic engine coverage: every force kernel through the CA
-// engines against the serial reference (typed test over the kernel set),
-// plus the Batched-vs-Scalar kernel-engine parity suite: forces must agree
-// within 1e-5 relative error and InteractionCount must be bitwise equal for
-// every kernel across cutoff/boundary/self-interaction cases — the batched
-// engine may only change host time, never physics or the ledger.
+// engines against the serial reference (typed test over the kernel set) —
+// the scalar AoS reference and the batched span engine both — plus the
+// Batched-vs-Scalar span-engine parity suite: forces must agree within
+// 1e-5 relative error and InteractionCount must be bitwise equal for every
+// kernel across cutoff/boundary/self-interaction cases — the batched
+// engine may only change host time, never physics or the ledger. The
+// resident sweep's own bitwise suite is test_force_sweep.
 #include <gtest/gtest.h>
 
 #include "core/ca_all_pairs.hpp"
@@ -193,20 +195,24 @@ TYPED_TEST(KernelEngines, CaCutoffMatchesReference) {
   EXPECT_LT(particles::max_force_deviation(got, want), 3e-4);
 }
 
+// The CA engines against the serial reference run on the batched span
+// engine (N3L half-sweep included): the two host sweep implementations that
+// remain agree through a whole step.
 TYPED_TEST(KernelEngines, CaAllPairsBatchedMatchesReference) {
   using K = TypeParam;
   const K kernel = make_kernel<K>();
   const Box box = Box::reflective_2d(1.0);
   const auto init = particles::init_lattice(64, box, 0.4, 11);
 
-  core::RealPolicy<K> policy({box, kernel, 0.0, 1e-4, particles::KernelEngine::Batched});
+  core::RealPolicy<K> policy({box, kernel, 0.0, 1e-4});
   core::CaAllPairs<core::RealPolicy<K>> engine({16, 2, machine::laptop()}, std::move(policy),
                                                decomp::split_even(init, 8));
   engine.step();
   auto got = decomp::concat(engine.team_results());
   particles::sort_by_id(got);
 
-  particles::SerialReference<K> ref(init, {box, kernel, 1e-4});
+  particles::SerialReference<K> ref(
+      init, {box, kernel, 1e-4, 0.0, false, particles::KernelEngine::Batched});
   ref.step();
   auto want = ref.particles();
   particles::sort_by_id(want);
@@ -224,7 +230,7 @@ TYPED_TEST(KernelEngines, CaCutoffBatchedMatchesReference) {
   const int qy = 4;
   const int m = core::window_radius_teams(cutoff, 1.0, qx);
 
-  core::RealPolicy<K> policy({box, kernel, cutoff, 1e-4, particles::KernelEngine::Batched});
+  core::RealPolicy<K> policy({box, kernel, cutoff, 1e-4});
   core::CaCutoff<core::RealPolicy<K>> engine(
       {32, 2, machine::laptop(), core::CutoffGeometry::make_2d(qx, qy, m, m), false},
       std::move(policy), decomp::split_spatial_2d(init, box, qx, qy));
@@ -232,7 +238,8 @@ TYPED_TEST(KernelEngines, CaCutoffBatchedMatchesReference) {
   auto got = decomp::concat(engine.team_results());
   particles::sort_by_id(got);
 
-  particles::SerialReference<K> ref(init, {box, kernel, 1e-4, cutoff});
+  particles::SerialReference<K> ref(
+      init, {box, kernel, 1e-4, cutoff, false, particles::KernelEngine::Batched});
   ref.step();
   auto want = ref.particles();
   particles::sort_by_id(want);
@@ -240,19 +247,25 @@ TYPED_TEST(KernelEngines, CaCutoffBatchedMatchesReference) {
   EXPECT_LT(particles::max_force_deviation(got, want), 3e-4);
 }
 
-// The acceptance contract of the KernelEngine layer: the per-step ledger
-// (messages, words, per-phase virtual seconds, critical path) must be
-// IDENTICAL across engines, because the engine only changes how the host
-// executes the sweep, never what the virtual machine is charged.
+// The acceptance contract of the sweep's engines — its scalar and widest
+// SIMD backend bodies: the per-step ledger (messages, words, per-phase
+// virtual seconds, critical path) must be IDENTICAL across them, because
+// the backend only changes how the host executes the sweep, never what the
+// virtual machine is charged.
 template <class MakeSim>
 void expect_ledger_invariant_across_engines(MakeSim make_sim) {
-  auto scalar_sim = make_sim(particles::KernelEngine::Scalar);
-  auto batched_sim = make_sim(particles::KernelEngine::Batched);
+  namespace simd = particles::simd;
+  const simd::Backend saved = simd::active();
+  simd::set_backend(simd::Backend::Scalar);
+  auto scalar_sim = make_sim();
   scalar_sim.run(3);
-  batched_sim.run(3);
+  simd::set_backend(simd::max_supported());
+  auto widest_sim = make_sim();
+  widest_sim.run(3);
+  simd::set_backend(saved);
 
   const auto rs = scalar_sim.report();
-  const auto rb = batched_sim.report();
+  const auto rb = widest_sim.report();
   EXPECT_EQ(rs.messages, rb.messages);
   EXPECT_EQ(rs.bytes, rb.bytes);
   EXPECT_EQ(rs.compute, rb.compute);
@@ -266,13 +279,13 @@ void expect_ledger_invariant_across_engines(MakeSim make_sim) {
 
   // And the physics agrees to the parity tolerance.
   const auto ps = scalar_sim.gather();
-  const auto pb = batched_sim.gather();
+  const auto pb = widest_sim.gather();
   ASSERT_EQ(ps.size(), pb.size());
   EXPECT_LT(particles::max_position_deviation(pb, ps), 1e-5);
 }
 
 TEST(KernelEngineLedger, CaAllPairsLedgerIdenticalAcrossEngines) {
-  expect_ledger_invariant_across_engines([](particles::KernelEngine engine) {
+  expect_ledger_invariant_across_engines([] {
     sim::Simulation<particles::InverseSquareRepulsion>::Config cfg;
     cfg.method = sim::Method::CaAllPairs;
     cfg.p = 16;
@@ -280,14 +293,13 @@ TEST(KernelEngineLedger, CaAllPairsLedgerIdenticalAcrossEngines) {
     cfg.machine = machine::hopper();
     cfg.kernel = {1e-4, 1e-2};
     cfg.dt = 1e-4;
-    cfg.engine = engine;
     return sim::Simulation<particles::InverseSquareRepulsion>(
         cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
   });
 }
 
 TEST(KernelEngineLedger, CaCutoffLedgerIdenticalAcrossEngines) {
-  expect_ledger_invariant_across_engines([](particles::KernelEngine engine) {
+  expect_ledger_invariant_across_engines([] {
     sim::Simulation<particles::InverseSquareRepulsion>::Config cfg;
     cfg.method = sim::Method::CaCutoff;
     cfg.p = 32;
@@ -296,7 +308,6 @@ TEST(KernelEngineLedger, CaCutoffLedgerIdenticalAcrossEngines) {
     cfg.kernel = {1e-4, 1e-2};
     cfg.cutoff = 0.12;
     cfg.dt = 1e-4;
-    cfg.engine = engine;
     return sim::Simulation<particles::InverseSquareRepulsion>(
         cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
   });

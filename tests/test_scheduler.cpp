@@ -97,7 +97,6 @@ RunOut run_case(sim::Method method, const std::string& dist, SchedMode mode, int
   cfg.c = method == sim::Method::CaAllPairs ? 2 : 1;
   cfg.cutoff = method == sim::Method::CaCutoff ? 0.2 : 0.0;
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
-  cfg.engine = particles::KernelEngine::Batched;
   cfg.sched = mode;
   cfg.steal_grain = 2;
   if (fault) {
@@ -203,7 +202,6 @@ TEST(SchedulerBitwise, StealSeedDoesNotChangeResults) {
   cfg.p = 16;
   cfg.cutoff = 0.2;
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
-  cfg.engine = particles::KernelEngine::Batched;
   cfg.sched = SchedMode::kStealing;
 
   auto run_with_seed = [&](std::uint64_t seed) {

@@ -12,27 +12,25 @@
 //    block sizes, and SIMD backends — and falls back to the full sweep when
 //    its replica contract does not hold;
 //  * the ± scatter is race-free when independent blocks sweep concurrently
-//    on a ThreadPool (the TSan leg runs this file);
-//  * end to end, the half-sweep knob and the host thread count change
-//    NOTHING observable in a Simulation (bitwise trajectories, identical
-//    ledgers) — the same acceptance contract test_layout_invariance pins
-//    for the engine knob.
+//    on a ThreadPool (the TSan leg runs this file).
+//
+// The half-sweep serves the batched span sweeps (SerialReference, cell
+// lists, benches). The resident sweep every Simulation runs has its own
+// bitwise suite, test_force_sweep; test_layout_invariance pins its SIMD
+// backends and thread counts end to end.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <span>
 #include <vector>
 
-#include "machine/presets.hpp"
 #include "particles/batched_engine.hpp"
 #include "particles/init.hpp"
 #include "particles/simd/simd.hpp"
 #include "particles/soa_tile.hpp"
-#include "sim/simulation.hpp"
 #include "support/parallel.hpp"
 
 namespace {
@@ -418,97 +416,6 @@ TEST(HalfSweepThreads, ConcurrentSelfSweepsAreRaceFreeAndBitwise) {
       ASSERT_EQ(std::bit_cast<std::uint32_t>(g.fx), std::bit_cast<std::uint32_t>(w.fx));
       ASSERT_EQ(std::bit_cast<std::uint32_t>(g.fy), std::bit_cast<std::uint32_t>(w.fy));
     }
-  }
-}
-
-// --- end to end: Simulation trajectories and ledgers -----------------------
-
-using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
-
-Sim make_sim(sim::Method method, double cutoff, particles::KernelEngine engine, bool half,
-             int threads) {
-  Sim::Config cfg;
-  cfg.method = method;
-  cfg.p = method == sim::Method::CaCutoff ? 32 : 16;
-  cfg.c = 2;
-  cfg.machine = machine::hopper();
-  cfg.kernel = {1e-4, 1e-2};
-  cfg.cutoff = cutoff;
-  cfg.dt = 1e-4;
-  cfg.engine = engine;
-  cfg.sweep.half_sweep = half;
-  Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
-  if (threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(threads));
-  return s;
-}
-
-void expect_same_run(Sim& got_sim, const particles::Block& want_state,
-                     const sim::RunReport& want_report) {
-  got_sim.run(3);
-  const auto got_state = got_sim.gather();
-  ASSERT_EQ(got_state.size(), want_state.size());
-  for (std::size_t i = 0; i < got_state.size(); ++i) {
-    ASSERT_EQ(got_state[i].id, want_state[i].id);
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(got_state[i].px),
-              std::bit_cast<std::uint32_t>(want_state[i].px));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(got_state[i].py),
-              std::bit_cast<std::uint32_t>(want_state[i].py));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(got_state[i].vx),
-              std::bit_cast<std::uint32_t>(want_state[i].vx));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(got_state[i].vy),
-              std::bit_cast<std::uint32_t>(want_state[i].vy));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(got_state[i].fx),
-              std::bit_cast<std::uint32_t>(want_state[i].fx));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(got_state[i].fy),
-              std::bit_cast<std::uint32_t>(want_state[i].fy));
-  }
-  const auto got = got_sim.report();
-  EXPECT_EQ(got.messages, want_report.messages);
-  EXPECT_EQ(got.bytes, want_report.bytes);
-  EXPECT_EQ(got.compute, want_report.compute);
-  EXPECT_EQ(got.wall, want_report.wall);
-  EXPECT_EQ(got.imbalance, want_report.imbalance);
-}
-
-void run_half_sweep_matrix(sim::Method method, double cutoff) {
-  auto baseline = make_sim(method, cutoff, particles::KernelEngine::Scalar, true, 1);
-  baseline.run(3);
-  const auto want_state = baseline.gather();
-  const auto want_report = baseline.report();
-
-  for (const bool half : {false, true}) {
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "half_sweep=" << half << " threads=" << threads);
-      auto s = make_sim(method, cutoff, particles::KernelEngine::Batched, half, threads);
-      expect_same_run(s, want_state, want_report);
-    }
-  }
-}
-
-TEST(HalfSweepSimulation, CaAllPairsBitwiseAcrossHalfSweepAndThreads) {
-  run_half_sweep_matrix(sim::Method::CaAllPairs, 0.0);
-}
-
-TEST(HalfSweepSimulation, CaCutoffBitwiseAcrossHalfSweepAndThreads) {
-  run_half_sweep_matrix(sim::Method::CaCutoff, 0.12);
-}
-
-// The SIMD backend axis, end to end: pin each backend and re-run.
-TEST(HalfSweepSimulation, CaAllPairsBitwiseAcrossBackends) {
-  SimdStateGuard guard;
-  simd::set_backend(simd::Backend::Scalar);
-  auto baseline = make_sim(sim::Method::CaAllPairs, 0.0, particles::KernelEngine::Batched,
-                           true, 1);
-  baseline.run(3);
-  const auto want_state = baseline.gather();
-  const auto want_report = baseline.report();
-
-  for (int b = 1; b <= static_cast<int>(simd::max_supported()); ++b) {
-    SCOPED_TRACE(simd::backend_name(static_cast<simd::Backend>(b)));
-    simd::set_backend(static_cast<simd::Backend>(b));
-    auto s = make_sim(sim::Method::CaAllPairs, 0.0, particles::KernelEngine::Batched, true, 1);
-    expect_same_run(s, want_state, want_report);
   }
 }
 

@@ -247,6 +247,32 @@ TEST(TransportConformance, SocketLossyLinkStillDeliversInOrder) {
   EXPECT_GT(mesh.a->stats().retransmits, 0u);
 }
 
+// Remote payloads are received into buffers taken from the destination's
+// pool and recv() returns one buffer per frame it hands out, so a long run
+// of wire traffic cannot grow the pool past the most frames ever queued at
+// once (before, every remote frame left one more buffer behind).
+TEST(TransportConformance, SocketPoolStaysBoundedOverManyRemoteRounds) {
+  SocketPair mesh;
+  constexpr int kRounds = 200;
+  constexpr int kBurst = 3;  // the most frames ever queued for rank 2
+  wire::Bytes got;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kBurst; ++i)
+      mesh.a->send(0, 2, 7, pattern(96, static_cast<std::uint64_t>(round * kBurst + i)));
+    for (int i = 0; i < kBurst; ++i) {
+      mesh.b->recv(0, 2, 7, got);
+      ASSERT_EQ(got, pattern(96, static_cast<std::uint64_t>(round * kBurst + i)));
+    }
+  }
+  EXPECT_LE(mesh.b->pooled_buffers(2), static_cast<std::size_t>(kBurst));
+  // The local short-circuit keeps the same balance.
+  for (int round = 0; round < kRounds; ++round) {
+    mesh.b->send(3, 2, 8, pattern(16, 1));
+    mesh.b->recv(3, 2, 8, got);
+  }
+  EXPECT_LE(mesh.b->pooled_buffers(2), static_cast<std::size_t>(kBurst));
+}
+
 // ---------------------------------------------------------------------------
 // SoaBlock wire round trip: the payload integrity half of the contract.
 

@@ -90,8 +90,9 @@
 //                   <series-out>.straggler-step<K>.json (default 3.0)
 //
 //   --help          print the option list and exit 0
-// A usage error (unknown option, bad value) prints one line naming the
-// option plus the option list and exits 2.
+// A usage error (unknown option, bad value, or a configuration no engine
+// can run, such as c not dividing p) prints one line naming the problem
+// plus the option list and exits 2.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -194,7 +195,8 @@ struct RunPlan {
   double time0 = 0.0;
 };
 
-/// Parses every option; throws (PreconditionError or another
+/// Parses every option and checks the configuration with the engines' own
+/// preconditions; throws (PreconditionError or another
 /// std::invalid_argument / std::out_of_range) on a usage error.
 RunPlan plan_run(const CliArgs& args) {
   RunPlan plan;
@@ -326,6 +328,9 @@ RunPlan plan_run(const CliArgs& args) {
     CANB_REQUIRE(!args.has("series-capacity") && !args.has("straggler-factor"),
                  "--series-capacity/--straggler-factor need --series-out");
   }
+
+  // An impossible method/p/c/cutoff combination is a usage error too.
+  Sim::validate(cfg);
 
   if (args.has("restart")) {
     const auto cp = sim::load_checkpoint(args.get("restart", ""));
@@ -585,8 +590,8 @@ int run(const CliArgs& args, RunPlan plan) {
 
 int main(int argc, char** argv) {
   // Usage errors (an unknown option, a bad value, an option missing its
-  // companion) exit 2 with the option list; nothing has been forked or
-  // built yet when they are found.
+  // companion, a configuration the engines reject) exit 2 with the option
+  // list; nothing has been forked or built yet when they are found.
   std::optional<CliArgs> args;
   RunPlan plan;
   try {

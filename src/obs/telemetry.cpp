@@ -143,7 +143,8 @@ void Telemetry::publish_scheduler(std::string_view mode, const SchedulerStats& s
         .set(stats.busy_seconds[w]);
     registry_
         .gauge("canb_worker_idle_seconds", labels,
-               "HOST wall seconds this worker waited inside task drains")
+               "HOST wall seconds this worker spent in parallel_tasks calls not running "
+               "tasks (call wall minus busy)")
         .set(stats.idle_seconds[w]);
   }
 }

@@ -71,6 +71,15 @@ concept LaneBatchedKernel =
       { k.magnitude_lanes(in, in, out, n) };
     };
 
+/// The (scale, softening²) pair of an inverse-cube magnitude
+/// scale * coupling / (d2 * sqrt(d2)), d2 = r2 + soft2: what
+/// `magnitude_lanes` hands to simd::inv_cube_lanes and the resident sweep
+/// hands to simd::inv_cube_sweep.
+struct InvCube {
+  double scale = 1.0;
+  double soft2 = 0.0;
+};
+
 namespace detail {
 // Thin forwarders into the simd entry points. The batched engine hands
 // these partially-filled stack tiles (only the first n lanes are written,
@@ -132,11 +141,13 @@ struct InverseSquareRepulsion {
     const double d2 = r2 + softening * softening;
     return c / (d2 * std::sqrt(d2));
   }
+  InvCube inv_cube() const noexcept { return {strength, softening * softening}; }
   /// SIMD-dispatched inverse-cube lanes; bitwise equal to `magnitude` on
   /// every backend unless the opt-in fast rsqrt path is enabled.
   void magnitude_lanes(const double* r2, const double* coupling, double* out,
                        std::size_t n) const noexcept {
-    detail::inv_cube_forward(r2, coupling, out, n, strength, softening * softening);
+    const InvCube ic = inv_cube();
+    detail::inv_cube_forward(r2, coupling, out, n, ic.scale, ic.soft2);
   }
   PairForce force(double dx, double dy, double r2, const Particle& a,
                   const Particle& b) const noexcept {
@@ -164,11 +175,13 @@ struct Gravity {
     const double d2 = r2 + softening * softening;
     return c / (d2 * std::sqrt(d2));
   }
+  InvCube inv_cube() const noexcept { return {-g, softening * softening}; }
   /// SIMD-dispatched inverse-cube lanes; bitwise equal to `magnitude` on
   /// every backend unless the opt-in fast rsqrt path is enabled.
   void magnitude_lanes(const double* r2, const double* coupling, double* out,
                        std::size_t n) const noexcept {
-    detail::inv_cube_forward(r2, coupling, out, n, -g, softening * softening);
+    const InvCube ic = inv_cube();
+    detail::inv_cube_forward(r2, coupling, out, n, ic.scale, ic.soft2);
   }
   PairForce force(double dx, double dy, double r2, const Particle& a,
                   const Particle& b) const noexcept {
@@ -333,8 +346,9 @@ struct SoftSphere {
 /// N3L half-sweep visits each unordered pair once but accounts for both
 /// directed pairs). `computed` is the host-side work metric: directed
 /// pair interactions actually evaluated — roughly half of `examined` for
-/// a half-sweep, only the pairs in range for the resident sweep under a
-/// cutoff. Telemetry exposes both; the cost model never reads `computed`.
+/// a half-sweep, the candidate pairs its cell cull kept for the resident
+/// sweep under a cutoff. Telemetry exposes both; the cost model never
+/// reads `computed`.
 struct InteractionCount {
   std::uint64_t examined = 0;       ///< pairs visited (cost-model unit)
   std::uint64_t within_cutoff = 0;  ///< pairs that actually contributed

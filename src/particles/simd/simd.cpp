@@ -123,6 +123,46 @@ LaneTestCount test_lanes_scalar(const LaneTest& row, const float* sx, const floa
   return {kCut ? kept : n - self, n - self};
 }
 
+// --- inverse-cube evaluate loop ---------------------------------------------
+// Targets in lanes, candidates broadcast in list order. Per pair this is
+// accumulate_forces through InverseSquareRepulsion/Gravity::magnitude op for
+// op: the geometry of test_one, the coupling tc*sc, then
+// (scale*cpl) / (d2*sqrt(d2)). The scalar body skips a pair the way the
+// reference does; the vector bodies add it masked to +0.0.
+template <bool kPeriodic, bool kTwoD, bool kCut>
+std::size_t inv_cube_sweep_scalar(const InvCubeSweep& p, const SweepLanes& tgt,
+                                  const SweepLanes& src, double* ax, double* ay) noexcept {
+  std::size_t kept = 0;
+  for (std::size_t t = 0; t < tgt.n; ++t) {
+    const double tx = tgt.x[t];
+    const double ty = kTwoD ? tgt.y[t] : 0.0;
+    const double tid = tgt.id[t];
+    const double tc = tgt.cpl[t];
+    double sx = ax[t];
+    double sy = ay[t];
+    for (std::size_t k = 0; k < src.n; ++k) {
+      double dx = tx - src.x[k];
+      double dy = kTwoD ? ty - src.y[k] : 0.0;
+      if constexpr (kPeriodic) {
+        dx = wrap_one(dx, p.wrap_x);
+        if constexpr (kTwoD) dy = wrap_one(dy, p.wrap_y);
+      }
+      const double r2 = dx * dx + dy * dy;
+      if (tid == src.id[k]) continue;
+      if (kCut && r2 > p.cut2) continue;
+      ++kept;
+      const double c = p.scale * (tc * src.cpl[k]);
+      const double d2 = r2 + p.soft2;
+      const double mag = c / (d2 * std::sqrt(d2));
+      sx += mag * dx;
+      sy += mag * dy;
+    }
+    ax[t] = sx;
+    ay[t] = sy;
+  }
+  return kept;
+}
+
 #if CANB_SIMD_X86
 
 // Left-pack tables for the vector test bodies: entry m lists the set bit
@@ -369,6 +409,89 @@ LaneTestCount test_lanes_sse2(const LaneTest& row, const float* sx, const float*
   return {kCut ? kept : n - self, n - self};
 }
 
+// Loads the target lanes [t, t + kLanes) of an inv_cube_sweep into padded
+// arrays: lanes past tgt.n repeat lane t's finite values and are invalid.
+template <int kLanes, bool kTwoD>
+struct TargetGroup {
+  alignas(32) double x[kLanes];
+  alignas(32) double y[kLanes];
+  alignas(32) double id[kLanes];
+  alignas(32) double cpl[kLanes];
+  alignas(32) double ax[kLanes];
+  alignas(32) double ay[kLanes];
+  alignas(32) double valid[kLanes];  ///< all-ones bits for real lanes, +0.0 for padding
+  std::size_t real = 0;
+
+  TargetGroup(const SweepLanes& tgt, std::size_t t, const double* sx, const double* sy) noexcept {
+    real = tgt.n - t < static_cast<std::size_t>(kLanes) ? tgt.n - t
+                                                        : static_cast<std::size_t>(kLanes);
+    for (std::size_t l = 0; l < static_cast<std::size_t>(kLanes); ++l) {
+      const std::size_t i = l < real ? t + l : t;
+      x[l] = tgt.x[i];
+      y[l] = kTwoD ? tgt.y[i] : 0.0;
+      id[l] = tgt.id[i];
+      cpl[l] = tgt.cpl[i];
+      ax[l] = sx[i];
+      ay[l] = sy[i];
+      valid[l] = std::bit_cast<double>(l < real ? ~std::uint64_t{0} : std::uint64_t{0});
+    }
+  }
+  void store(std::size_t t, double* sx, double* sy) const noexcept {
+    for (std::size_t l = 0; l < real; ++l) {
+      sx[t + l] = ax[l];
+      sy[t + l] = ay[l];
+    }
+  }
+};
+
+template <bool kPeriodic, bool kTwoD, bool kCut>
+std::size_t inv_cube_sweep_sse2(const InvCubeSweep& p, const SweepLanes& tgt,
+                                const SweepLanes& src, double* ax, double* ay) noexcept {
+  const __m128d wx = _mm_set1_pd(p.wrap_x);
+  const __m128d hx = _mm_set1_pd(0.5 * p.wrap_x);
+  const __m128d nhx = _mm_set1_pd(-(0.5 * p.wrap_x));
+  const __m128d wy = _mm_set1_pd(p.wrap_y);
+  const __m128d hy = _mm_set1_pd(0.5 * p.wrap_y);
+  const __m128d nhy = _mm_set1_pd(-(0.5 * p.wrap_y));
+  const __m128d cut2 = _mm_set1_pd(p.cut2);
+  const __m128d scale = _mm_set1_pd(p.scale);
+  const __m128d soft2 = _mm_set1_pd(p.soft2);
+  __m128i kept = _mm_setzero_si128();
+  for (std::size_t t = 0; t < tgt.n; t += 2) {
+    TargetGroup<2, kTwoD> g(tgt, t, ax, ay);
+    const __m128d tx = _mm_load_pd(g.x);
+    const __m128d ty = _mm_load_pd(g.y);
+    const __m128d tid = _mm_load_pd(g.id);
+    const __m128d tc = _mm_load_pd(g.cpl);
+    const __m128d valid = _mm_load_pd(g.valid);
+    __m128d sx = _mm_load_pd(g.ax);
+    __m128d sy = _mm_load_pd(g.ay);
+    for (std::size_t k = 0; k < src.n; ++k) {
+      __m128d dx = _mm_sub_pd(tx, _mm_set1_pd(src.x[k]));
+      __m128d dy = kTwoD ? _mm_sub_pd(ty, _mm_set1_pd(src.y[k])) : _mm_setzero_pd();
+      if constexpr (kPeriodic) {
+        dx = wrap_sse2(dx, wx, hx, nhx);
+        if constexpr (kTwoD) dy = wrap_sse2(dy, wy, hy, nhy);
+      }
+      const __m128d r2 = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+      __m128d keep = _mm_andnot_pd(_mm_cmpeq_pd(tid, _mm_set1_pd(src.id[k])), valid);
+      if constexpr (kCut) keep = _mm_and_pd(keep, _mm_cmpngt_pd(r2, cut2));
+      kept = _mm_sub_epi64(kept, _mm_castpd_si128(keep));
+      const __m128d c = _mm_mul_pd(scale, _mm_mul_pd(tc, _mm_set1_pd(src.cpl[k])));
+      const __m128d d2 = _mm_add_pd(r2, soft2);
+      const __m128d mag = _mm_div_pd(c, _mm_mul_pd(d2, _mm_sqrt_pd(d2)));
+      sx = _mm_add_pd(sx, _mm_and_pd(_mm_mul_pd(mag, dx), keep));
+      sy = _mm_add_pd(sy, _mm_and_pd(_mm_mul_pd(mag, dy), keep));
+    }
+    _mm_store_pd(g.ax, sx);
+    _mm_store_pd(g.ay, sy);
+    g.store(t, ax, ay);
+  }
+  alignas(16) std::uint64_t lanes[2];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), kept);
+  return static_cast<std::size_t>(lanes[0] + lanes[1]);
+}
+
 __attribute__((target("avx2"))) inline __m256d wrap_avx2(__m256d d, __m256d w, __m256d h,
                                                          __m256d nh) noexcept {
   const __m256d wrapped = _mm256_blendv_pd(d, _mm256_sub_pd(d, w), _mm256_cmp_pd(d, h, _CMP_GT_OQ));
@@ -429,7 +552,91 @@ __attribute__((target("avx2"))) LaneTestCount test_lanes_avx2(
   return {kCut ? kept : n - self, n - self};
 }
 
+template <bool kPeriodic, bool kTwoD, bool kCut>
+__attribute__((target("avx2"))) std::size_t inv_cube_sweep_avx2(
+    const InvCubeSweep& p, const SweepLanes& tgt, const SweepLanes& src, double* ax,
+    double* ay) noexcept {
+  const __m256d wx = _mm256_set1_pd(p.wrap_x);
+  const __m256d hx = _mm256_set1_pd(0.5 * p.wrap_x);
+  const __m256d nhx = _mm256_set1_pd(-(0.5 * p.wrap_x));
+  const __m256d wy = _mm256_set1_pd(p.wrap_y);
+  const __m256d hy = _mm256_set1_pd(0.5 * p.wrap_y);
+  const __m256d nhy = _mm256_set1_pd(-(0.5 * p.wrap_y));
+  const __m256d cut2 = _mm256_set1_pd(p.cut2);
+  const __m256d scale = _mm256_set1_pd(p.scale);
+  const __m256d soft2 = _mm256_set1_pd(p.soft2);
+  // A tail of one or two targets runs two lanes wide below, rather than
+  // padding a four-lane group.
+  const std::size_t tail = tgt.n % 4 <= 2 ? tgt.n % 4 : 0;
+  const std::size_t wide = tgt.n - tail;
+  __m256i kept = _mm256_setzero_si256();
+  for (std::size_t t = 0; t < wide; t += 4) {
+    TargetGroup<4, kTwoD> g(tgt, t, ax, ay);
+    const __m256d tx = _mm256_load_pd(g.x);
+    const __m256d ty = _mm256_load_pd(g.y);
+    const __m256d tid = _mm256_load_pd(g.id);
+    const __m256d tc = _mm256_load_pd(g.cpl);
+    const __m256d valid = _mm256_load_pd(g.valid);
+    __m256d sx = _mm256_load_pd(g.ax);
+    __m256d sy = _mm256_load_pd(g.ay);
+    for (std::size_t k = 0; k < src.n; ++k) {
+      __m256d dx = _mm256_sub_pd(tx, _mm256_broadcast_sd(src.x + k));
+      __m256d dy =
+          kTwoD ? _mm256_sub_pd(ty, _mm256_broadcast_sd(src.y + k)) : _mm256_setzero_pd();
+      if constexpr (kPeriodic) {
+        dx = wrap_avx2(dx, wx, hx, nhx);
+        if constexpr (kTwoD) dy = wrap_avx2(dy, wy, hy, nhy);
+      }
+      const __m256d r2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+      __m256d keep = _mm256_andnot_pd(
+          _mm256_cmp_pd(tid, _mm256_broadcast_sd(src.id + k), _CMP_EQ_OQ), valid);
+      if constexpr (kCut) keep = _mm256_and_pd(keep, _mm256_cmp_pd(r2, cut2, _CMP_NGT_UQ));
+      kept = _mm256_sub_epi64(kept, _mm256_castpd_si256(keep));
+      const __m256d c =
+          _mm256_mul_pd(scale, _mm256_mul_pd(tc, _mm256_broadcast_sd(src.cpl + k)));
+      const __m256d d2 = _mm256_add_pd(r2, soft2);
+      const __m256d mag = _mm256_div_pd(c, _mm256_mul_pd(d2, _mm256_sqrt_pd(d2)));
+      sx = _mm256_add_pd(sx, _mm256_and_pd(_mm256_mul_pd(mag, dx), keep));
+      sy = _mm256_add_pd(sy, _mm256_and_pd(_mm256_mul_pd(mag, dy), keep));
+    }
+    _mm256_store_pd(g.ax, sx);
+    _mm256_store_pd(g.ay, sy);
+    g.store(t, ax, ay);
+  }
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), kept);
+  std::size_t total = static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  if (tail > 0) {
+    const SweepLanes rest{tgt.x + wide, tgt.y + wide, tgt.id + wide, tgt.cpl + wide, tail};
+    total += inv_cube_sweep_sse2<kPeriodic, kTwoD, kCut>(p, rest, src, ax + wide, ay + wide);
+  }
+  return total;
+}
+
 #endif  // CANB_SIMD_X86
+
+using InvCubeSweepFn = std::size_t (*)(const InvCubeSweep&, const SweepLanes&,
+                                       const SweepLanes&, double*, double*) noexcept;
+
+template <bool kPeriodic, bool kTwoD, bool kCut>
+InvCubeSweepFn inv_cube_sweep_body(Backend b) noexcept {
+#if CANB_SIMD_X86
+  switch (b) {
+    case Backend::Avx2: return &inv_cube_sweep_avx2<kPeriodic, kTwoD, kCut>;
+    case Backend::Sse2: return &inv_cube_sweep_sse2<kPeriodic, kTwoD, kCut>;
+    case Backend::Scalar: break;
+  }
+#else
+  (void)b;
+#endif
+  return &inv_cube_sweep_scalar<kPeriodic, kTwoD, kCut>;
+}
+
+template <bool kPeriodic, bool kTwoD>
+InvCubeSweepFn inv_cube_sweep_body(Backend b, bool cut) noexcept {
+  return cut ? inv_cube_sweep_body<kPeriodic, kTwoD, true>(b)
+             : inv_cube_sweep_body<kPeriodic, kTwoD, false>(b);
+}
 
 using TestLanesFn = LaneTestCount (*)(const LaneTest&, const float*, const float*,
                                       const std::int32_t*, std::size_t, double*, double*,
@@ -549,6 +756,20 @@ void exp_lanes(const double* x, double* out, std::size_t n) noexcept {
   }
 #endif
   exp_lanes_scalar(x, out, n);
+}
+
+std::size_t inv_cube_sweep(const InvCubeSweep& p, const SweepLanes& tgt, const SweepLanes& src,
+                           double* ax, double* ay) noexcept {
+  const Backend b = active();
+  const bool cut = p.cut2 > 0.0;
+  InvCubeSweepFn body = nullptr;
+  if (p.wrap_x > 0.0)
+    body = p.two_d ? inv_cube_sweep_body<true, true>(b, cut)
+                   : inv_cube_sweep_body<true, false>(b, cut);
+  else
+    body = p.two_d ? inv_cube_sweep_body<false, true>(b, cut)
+                   : inv_cube_sweep_body<false, false>(b, cut);
+  return body(p, tgt, src, ax, ay);
 }
 
 LaneTestCount test_lanes(const LaneTest& row, const float* sx, const float* sy,

@@ -6,10 +6,16 @@
 // provides the lane pipelines that dominate the force sweep as
 // hand-dispatched kernels instead:
 //
-//  * test_lanes — the test pass of the resident sweep (particles/sweep.hpp):
-//    geometry, id and cutoff tests for a row of source lanes, packing the
-//    kept lanes' indices. Same op sequence as the AoS reference loop, no
-//    FMA, so every backend writes bitwise-identical lanes.
+//  * inv_cube_sweep — the resident sweep's evaluate loop for the
+//    inverse-cube kernels (particles/sweep.hpp): targets held in vector
+//    lanes, each candidate source broadcast in list order, geometry, masks,
+//    magnitude and the masked force sums all in registers. Same op sequence
+//    per pair as the AoS reference loop, no FMA, so every backend produces
+//    bitwise-identical sums.
+//  * test_lanes — the test pass of the resident sweep for the other
+//    kernels: geometry, id and cutoff tests for a row of source lanes,
+//    packing the kept lanes' indices. Same op sequence as the AoS reference
+//    loop, no FMA, so every backend writes bitwise-identical lanes.
 //  * inv_cube_lanes — the r^2 -> coupling/(d2*sqrt(d2)) pipeline behind
 //    InverseSquareRepulsion and Gravity. The exact variant uses only
 //    correctly-rounded IEEE ops (add/mul/div/sqrt, no FMA), so every
@@ -78,6 +84,43 @@ void inv_cube_lanes(const double* r2, const double* cpl, double* out, std::size_
 /// result never overflows or denormalizes). All backends are bitwise
 /// identical to each other; relative error vs std::exp <= 5e-14.
 void exp_lanes(const double* x, double* out, std::size_t n) noexcept;
+
+/// Geometry and kernel constants of one inv_cube_sweep call.
+struct InvCubeSweep {
+  bool two_d = true;
+  double wrap_x = 0.0;  ///< periodic box length in x; 0 = no minimum image
+  double wrap_y = 0.0;  ///< same in y (0 in 1D)
+  double cut2 = 0.0;    ///< squared cutoff; 0 = no cutoff
+  double scale = 1.0;   ///< magnitude = scale * cpl / (d2 * sqrt(d2))
+  double soft2 = 0.0;   ///< d2 = r2 + soft2
+};
+
+/// One side of an inv_cube_sweep: n lanes widened to double. Ids are
+/// int32 values stored as doubles (an exact conversion, so equality is
+/// preserved).
+struct SweepLanes {
+  const double* x = nullptr;
+  const double* y = nullptr;  ///< ignored in 1D
+  const double* id = nullptr;
+  const double* cpl = nullptr;  ///< per-lane coupling factor
+  std::size_t n = 0;
+};
+
+/// The inverse-cube evaluate loop: for every target t, in source order k,
+///
+///   dx, dy, r2  as particles::accumulate_forces computes them
+///   keep        id differs and (cut2 == 0 or !(r2 > cut2))
+///   mag         (scale * (tcpl[t] * scpl[k])) / (d2 * sqrt(d2)), d2 = r2 + soft2
+///   ax[t] += keep ? mag * dx : +0.0,  ay[t] likewise
+///
+/// ax/ay carry each target's running sum in and out; returns the number of
+/// kept pairs. Targets sit in vector lanes (1, 2 or 4 per register for
+/// scalar, SSE2, AVX2), so each target's sum still runs in source order:
+/// every backend is bitwise the reference loop. A skipped pair adds +0.0,
+/// which leaves any sum that started at +0.0 unchanged (such a sum is never
+/// -0.0).
+std::size_t inv_cube_sweep(const InvCubeSweep& p, const SweepLanes& tgt, const SweepLanes& src,
+                           double* ax, double* ay) noexcept;
 
 /// One target row of the force sweep's test pass (particles/sweep.hpp).
 struct LaneTest {

@@ -240,6 +240,12 @@ class Simulation {
     }
   }
 
+  /// Throws PreconditionError when no engine can run `cfg`: builds the
+  /// configured engine on an empty particle set, so the checks are the
+  /// engine constructors' own. Lets a caller reject a configuration before
+  /// it forks processes or generates particles.
+  static void validate(const Config& cfg) { (void)make_engine(cfg, particles::Block{}); }
+
   void set_integrator(const std::string& name) {
     std::visit([&](auto& e) { e.set_integrator(particles::make_integrator(name)); }, engine_);
   }

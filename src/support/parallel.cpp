@@ -112,6 +112,10 @@ void ThreadPool::run_tasks(int tasks, RawTaskFn fn, void* ctx, const double* cos
     return;
   }
 
+  // A worker's idle time in this call is the call's wall minus its busy
+  // time: the wait after its own tasks run out counts, not only steal probes.
+  const auto call_start = std::chrono::steady_clock::now();
+
   // Initial contiguous partition over [0, tasks). Static mode reproduces
   // the historical equal-index chunks exactly; stealing mode additionally
   // cost-weights the cut points when hints are given, so the deques start
@@ -161,10 +165,14 @@ void ThreadPool::run_tasks(int tasks, RawTaskFn fn, void* ctx, const double* cos
   std::unique_lock<std::mutex> lock(mutex_);
   done_cv_.wait(lock, [&] { return pending_ == 0; });
   task_dispatch_ = false;
+  // Every worker's call_busy_ns was written before it released mutex_.
+  const std::uint64_t wall = elapsed_ns(call_start, std::chrono::steady_clock::now());
+  for (WorkerStats& ws : stats_)
+    ws.idle_ns.fetch_add(wall > ws.call_busy_ns ? wall - ws.call_busy_ns : 0,
+                         std::memory_order_relaxed);
 }
 
 void ThreadPool::drain_tasks(int worker) {
-  const auto drain_start = std::chrono::steady_clock::now();
   std::uint64_t busy = 0, ran = 0, stolen = 0;
   WorkerQueue& own = queues_[static_cast<std::size_t>(worker)];
   for (;;) {
@@ -185,13 +193,11 @@ void ThreadPool::drain_tasks(int worker) {
     busy += elapsed_ns(t0, std::chrono::steady_clock::now());
     ran += static_cast<std::uint64_t>(e - b);
   }
-  const std::uint64_t drain =
-      elapsed_ns(drain_start, std::chrono::steady_clock::now());
   WorkerStats& ws = stats_[static_cast<std::size_t>(worker)];
   ws.tasks.fetch_add(ran, std::memory_order_relaxed);
   ws.steals.fetch_add(stolen, std::memory_order_relaxed);
   ws.busy_ns.fetch_add(busy, std::memory_order_relaxed);
-  ws.idle_ns.fetch_add(drain > busy ? drain - busy : 0, std::memory_order_relaxed);
+  ws.call_busy_ns = busy;
 }
 
 bool ThreadPool::try_steal(int worker, int* b, int* e) {

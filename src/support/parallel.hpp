@@ -61,7 +61,10 @@ struct SchedulerStats {
   std::uint64_t steals = 0;  ///< tasks executed by a non-assigned worker
   std::vector<std::uint64_t> tasks_per_worker;
   std::vector<double> busy_seconds;  ///< per worker, time inside task bodies
-  std::vector<double> idle_seconds;  ///< per worker, drain time minus busy
+  /// per worker, summed over parallel_tasks calls: the call's wall minus
+  /// the worker's busy time (steal probes and the wait for the slowest
+  /// worker both count)
+  std::vector<double> idle_seconds;
 };
 
 class ThreadPool {
@@ -159,12 +162,15 @@ class ThreadPool {
   };
 
   /// Per-worker scheduler accounting, relaxed atomics written by the
-  /// owning worker during a drain.
+  /// owning worker during a drain (idle_ns by the calling thread once the
+  /// call's workers are done).
   struct alignas(64) WorkerStats {
     std::atomic<std::uint64_t> tasks{0};
     std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> idle_ns{0};
+    /// Busy time of the current call, published under mutex_ with pending_.
+    std::uint64_t call_busy_ns = 0;
   };
 
   void run_chunks(int begin, int end, RawChunkFn fn, void* ctx);

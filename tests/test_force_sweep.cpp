@@ -3,17 +3,22 @@
 // cutoff, self or cross block pair, block size at the SIMD lane and sweep
 // chunk edges, and SIMD backend this machine supports, the float force
 // lanes must match bit for bit and `examined` / `within_cutoff` exactly.
-// The test pass itself (simd::test_lanes) is also pinned lane by lane
-// across backends. The simd-backends CI job re-runs this binary with each
-// CANB_SIMD value.
+// The cell cull is pinned at its edges (non-finite and far-away lanes, a
+// pair exactly at the cutoff across a cell boundary, periodic pairs across
+// the box edge, a tiny cutoff on a large block), and so are the cases where
+// `computed` is exact. The test pass itself (simd::test_lanes) is also
+// pinned lane by lane across backends. The simd-backends CI job re-runs
+// this binary with each CANB_SIMD value.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "particles/init.hpp"
@@ -157,9 +162,15 @@ TYPED_TEST(ForceSweep, BitwiseMatchesAosReferenceOnEveryBackend) {
                                       " backend=" + simd::backend_name(backend);
             ASSERT_EQ(c.examined, ref.examined) << where;
             ASSERT_EQ(c.within_cutoff, ref.within_cutoff) << where;
-            ASSERT_EQ(c.computed, cutoff > 0.0 ? ref.within_cutoff
-                                               : static_cast<std::uint64_t>(n) * n)
-                << where;
+            // `computed` counts the candidate pairs the cull kept: every pair
+            // without a cutoff, at least the pairs in range under one.
+            const auto all_pairs = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n);
+            if (cutoff > 0.0) {
+              ASSERT_LE(c.within_cutoff, c.computed) << where;
+              ASSERT_LE(c.computed, all_pairs) << where;
+            } else {
+              ASSERT_EQ(c.computed, all_pairs) << where;
+            }
             for (int i = 0; i < n; ++i) {
               const auto& w = want[static_cast<std::size_t>(i)];
               const auto k = static_cast<std::size_t>(i);
@@ -195,6 +206,179 @@ TYPED_TEST(ForceSweep, AliasedSelfSweepMatchesReplica) {
       ASSERT_EQ(bits(aliased.fy[i]), bits(with_copy.fy[i])) << "cutoff=" << cutoff;
     }
   }
+}
+
+// --- the cell cull at its edges ---------------------------------------------
+
+/// Runs the sweep on every backend and checks it against the reference:
+/// float forces bit for bit where the reference's are not NaN, NaN exactly
+/// where they are, and `examined` / `within_cutoff` exactly. Returns the
+/// sweep's counts (the same on every backend).
+template <class K>
+particles::InteractionCount expect_matches_reference(const Block& targets, const Block& sources,
+                                                     const Box& box, const K& kernel,
+                                                     double cutoff, const std::string& what) {
+  Block want = targets;
+  const particles::InteractionCount ref = particles::accumulate_forces(
+      std::span<particles::Particle>(want), std::span<const particles::Particle>(sources), box,
+      kernel, cutoff);
+  const particles::SoaBlock src(sources);
+  particles::InteractionCount got_count;
+  for (const simd::Backend backend : supported_backends()) {
+    simd::set_backend(backend);
+    particles::SoaBlock got(targets);
+    got_count = particles::sweep_blocks(got, src, box, kernel, cutoff);
+    const std::string where = what + " kernel=" + K::kName + " backend=" + simd::backend_name(backend);
+    EXPECT_EQ(got_count.examined, ref.examined) << where;
+    EXPECT_EQ(got_count.within_cutoff, ref.within_cutoff) << where;
+    EXPECT_LE(got_count.within_cutoff, got_count.computed) << where;
+    EXPECT_LE(got_count.computed,
+              static_cast<std::uint64_t>(targets.size()) * sources.size())
+        << where;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      for (const auto& [g, w] : {std::pair{static_cast<float>(got.fx[i]), want[i].fx},
+                                 std::pair{static_cast<float>(got.fy[i]), want[i].fy}}) {
+        if (std::isnan(w))
+          EXPECT_TRUE(std::isnan(g)) << where << " i=" << i;
+        else
+          EXPECT_EQ(bits(g), bits(w)) << where << " i=" << i;
+      }
+    }
+  }
+  return got_count;
+}
+
+/// Both sweep paths: the inverse-cube lanes and the generic test pass.
+template <class Fn>
+void for_both_paths(Fn&& fn) {
+  fn(make_kernel<particles::InverseSquareRepulsion>());
+  fn(make_kernel<particles::Yukawa>());
+}
+
+TEST(SweepCull, NonFiniteLanesMatchTheReference) {
+  BackendGuard guard;
+  const float kValues[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  for (const BoxCase& bc : kBoxes) {
+    for (const float v : kValues) {
+      for (const int where : {0, 1, 2}) {  // source lane, target lane, both
+        Block targets = make_block(67, bc.box, 11, 0);
+        Block sources = make_block(71, bc.box, 12, 100000);
+        if (where != 1) sources[5].px = v;
+        if (where != 0) targets[9].px = v;
+        if (where == 2 && bc.box.dims == 2) sources[40].py = v;
+        for_both_paths([&](const auto& kernel) {
+          expect_matches_reference(targets, sources, bc.box, kernel, 0.1,
+                                   std::string(bc.name) + " value=" + std::to_string(v) +
+                                       " where=" + std::to_string(where));
+        });
+      }
+    }
+  }
+}
+
+TEST(SweepCull, FarAwayFiniteCoordinatesMatchTheReference) {
+  BackendGuard guard;
+  for (const BoxCase& bc : kBoxes) {
+    Block targets = make_block(67, bc.box, 21, 0);
+    Block sources = make_block(71, bc.box, 22, 100000);
+    // Two lanes at the same far point (a kept pair), one far on the other
+    // side, and one far only in y.
+    targets[3].px = 1e30f;
+    sources[7].px = 1e30f;
+    sources[8].px = -1e30f;
+    targets[4].py = bc.box.dims == 2 ? -1e30f : targets[4].py;
+    for_both_paths([&](const auto& kernel) {
+      expect_matches_reference(targets, sources, bc.box, kernel, 0.1, bc.name);
+    });
+  }
+}
+
+TEST(SweepCull, PairExactlyAtTheCutoffAcrossACellBoundaryIsKept) {
+  BackendGuard guard;
+  // Binary-exact 3-4-5 triangle: r2 == cut2 exactly, and the two lanes are
+  // two cell sides apart on each axis — the edge of the cull's reach.
+  const double cutoff = 0.3125;
+  for (const BoxCase& bc : kBoxes) {
+    const bool two_d = bc.box.dims == 2;
+    Block targets = make_block(3, bc.box, 31, 0);
+    Block sources = make_block(3, bc.box, 32, 100000);
+    targets[0].px = 0.5f;
+    targets[0].py = 0.5f;
+    targets[1].px = 0.0f;  // pins the grid's origin at 0: the pair is two
+    targets[1].py = 0.0f;  // cells apart on each axis
+    sources[1].px = two_d ? 0.3125f : 0.1875f;  // dx = 0.1875 (2D) or 0.3125 (1D)
+    sources[1].py = 0.25f;                      // dy = 0.25
+    for_both_paths([&](const auto& kernel) {
+      const auto c = expect_matches_reference(targets, sources, bc.box, kernel, cutoff, bc.name);
+      EXPECT_GE(c.within_cutoff, 1u) << bc.name;
+    });
+  }
+}
+
+TEST(SweepCull, PeriodicPairsAcrossTheBoxEdgeMatchTheReference) {
+  BackendGuard guard;
+  for (const Box& box : {Box::periodic_2d(1.0), Box::periodic_1d(1.0)}) {
+    // Targets hug the low edge, sources the high edge: every pair in range
+    // is one the minimum image wraps.
+    Block targets = make_block(97, box, 41, 0);
+    Block sources = make_block(89, box, 42, 100000);
+    for (auto& p : targets) p.px *= 0.08f;
+    for (auto& p : sources) p.px = 1.0f - p.px * 0.08f;
+    for_both_paths([&](const auto& kernel) {
+      const auto c = expect_matches_reference(targets, sources, box, kernel, 0.1,
+                                              box.dims == 2 ? "periodic-2d" : "periodic-1d");
+      EXPECT_GT(c.within_cutoff, 0u);
+    });
+  }
+}
+
+TEST(SweepCull, TinyCutoffOnALargeBlockKeepsTheGridSmall) {
+  BackendGuard guard;
+  const double cutoff = 1e-6;
+  for (const BoxCase& bc : kBoxes) {
+    const Block block = make_block(2000, bc.box, 51, 0);
+    const particles::SoaBlock soa(block);
+    particles::detail::CullGrid grid;
+    EXPECT_TRUE(grid.build(soa, soa, bc.box, cutoff)) << bc.name;
+    // About one cell per lane at most, and never finer than cutoff/2.
+    EXPECT_LE(grid.cells(), 2 * block.size()) << bc.name;
+    EXPECT_GE(grid.side_x(), cutoff / 2) << bc.name;
+    for_both_paths([&](const auto& kernel) {
+      expect_matches_reference(block, block, bc.box, kernel, cutoff, bc.name);
+    });
+  }
+}
+
+TEST(SweepCull, ComputedIsExactForFarAndForNearBlocks) {
+  BackendGuard guard;
+  const Box box = Box::reflective_2d(1.0);
+  const double cutoff = 0.1;
+  const int n = 37;
+  Block targets = make_block(n, box, 61, 0);
+  Block far = make_block(n, box, 62, 100000);
+  Block near = make_block(n, box, 63, 200000);
+  for (auto& p : far) {  // 3 cutoffs away in x
+    p.px = 0.4f + p.px * 0.1f;
+    p.py *= 0.1f;
+  }
+  for (auto& p : near) {  // every pair closer than cutoff/2
+    p.px = 0.01f + p.px * 0.02f;
+    p.py = 0.01f + p.py * 0.02f;
+  }
+  for (auto& p : targets) {
+    p.px = 0.01f + p.px * 0.02f;
+    p.py = 0.01f + p.py * 0.02f;
+  }
+  for_both_paths([&](const auto& kernel) {
+    const auto cf = expect_matches_reference(targets, far, box, kernel, cutoff, "far");
+    EXPECT_EQ(cf.computed, 0u);
+    EXPECT_EQ(cf.examined, static_cast<std::uint64_t>(n) * n);
+    const auto cn = expect_matches_reference(targets, near, box, kernel, cutoff, "near");
+    EXPECT_EQ(cn.computed, static_cast<std::uint64_t>(n) * n);
+    EXPECT_EQ(cn.within_cutoff, static_cast<std::uint64_t>(n) * n);
+  });
 }
 
 // --- the test pass ---------------------------------------------------------

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "core/ca_all_pairs.hpp"
 #include "core/policy.hpp"
@@ -146,6 +148,26 @@ TEST(Scheduler, StatsCountCallsTasksAndWorkers) {
   EXPECT_EQ(zeroed.calls, 0u);
   EXPECT_EQ(zeroed.tasks, 0u);
   EXPECT_EQ(zeroed.steals, 0u);
+}
+
+// A worker whose static chunk runs out early waits for the slowest one;
+// that wait is idle time, not only the steal probes.
+TEST(Scheduler, IdleCountsTheWaitForTheSlowestWorker) {
+  ThreadPool pool(2);
+  pool.reset_scheduler_stats();
+  std::atomic<int> sleeper{-1};
+  pool.parallel_tasks(2, [&](int task, int worker) {
+    if (task == 0) {
+      sleeper.store(worker);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  ASSERT_GE(sleeper.load(), 0);
+  const SchedulerStats stats = pool.scheduler_stats();
+  ASSERT_EQ(stats.idle_seconds.size(), 2u);
+  const auto other = static_cast<std::size_t>(1 - sleeper.load());
+  EXPECT_GE(stats.idle_seconds[other], 0.015);
+  EXPECT_GE(stats.busy_seconds[static_cast<std::size_t>(sleeper.load())], 0.015);
 }
 
 TEST(Scheduler, StealGrainClampsToOne) {

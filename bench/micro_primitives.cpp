@@ -1,6 +1,5 @@
 // Google-benchmark microbenches for the substrate hot paths: force
-// kernels, block interactions, cell lists, vmpi primitives, and full
-// engine steps. These measure *host* performance of the simulator itself
+// kernels, block interactions, vmpi primitives, and full engine steps. These measure *host* performance of the simulator itself
 // (how fast the reproduction runs), not virtual machine time.
 #include <benchmark/benchmark.h>
 
@@ -9,8 +8,6 @@
 #include "core/policy.hpp"
 #include "decomp/partition.hpp"
 #include "machine/presets.hpp"
-#include "particles/batched_engine.hpp"
-#include "particles/cell_list.hpp"
 #include "particles/init.hpp"
 #include "particles/kernels.hpp"
 #include "vmpi/primitives.hpp"
@@ -35,50 +32,6 @@ void BM_KernelInverseSquare(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * (n - 1));
 }
 BENCHMARK(BM_KernelInverseSquare)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_KernelInverseSquareBatched(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  const Box box = Box::reflective_2d(1.0);
-  auto ps = particles::init_uniform(n, box, 1);
-  const InverseSquareRepulsion k{1e-4, 1e-2};
-  for (auto _ : state) {
-    particles::clear_forces(ps);
-    auto count = particles::accumulate_forces_batched(
-        std::span<particles::Particle>(ps), std::span<const particles::Particle>(ps), box, k);
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(state.iterations() * n * (n - 1));
-}
-BENCHMARK(BM_KernelInverseSquareBatched)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_CellListForces(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  const Box box = Box::reflective_2d(1.0);
-  auto ps = particles::init_uniform(n, box, 1);
-  const InverseSquareRepulsion k{1e-4, 1e-2};
-  for (auto _ : state) {
-    particles::clear_forces(ps);
-    auto applied = particles::cell_list_forces(std::span<particles::Particle>(ps), box, k, 0.1);
-    benchmark::DoNotOptimize(applied);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_CellListForces)->Arg(1024)->Arg(4096)->Arg(16384);
-
-void BM_CellListForcesBatched(benchmark::State& state) {
-  const auto n = static_cast<int>(state.range(0));
-  const Box box = Box::reflective_2d(1.0);
-  auto ps = particles::init_uniform(n, box, 1);
-  const InverseSquareRepulsion k{1e-4, 1e-2};
-  for (auto _ : state) {
-    particles::clear_forces(ps);
-    auto applied = particles::cell_list_forces(std::span<particles::Particle>(ps), box, k, 0.1,
-                                               particles::KernelEngine::Batched);
-    benchmark::DoNotOptimize(applied);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_CellListForcesBatched)->Arg(1024)->Arg(4096)->Arg(16384);
 
 void BM_ShiftRows(benchmark::State& state) {
   const auto p = static_cast<int>(state.range(0));

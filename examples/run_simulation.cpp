@@ -255,6 +255,8 @@ RunPlan plan_run(const CliArgs& args) {
                       !args.has("transport-dir") && !args.has("transport-drop") &&
                       !args.has("transport-exec")),
                  "--transport-groups/-group/-dir/-drop/-exec need --transport=socket");
+    CANB_REQUIRE(topts.drop_rate >= 0.0 && topts.drop_rate < 1.0,
+                 "--transport-drop must be in [0, 1) (1 would never deliver)");
     {
       const std::string ename = args.get("transport-exec", "owner");
       const auto exec = vmpi::parse_exec_mode(ename);

@@ -7,8 +7,7 @@
 // thread count, and the task scheduler — by timing that sweep on real
 // SoaBlocks. Nothing here reads or writes the virtual cost model; every
 // backend of the sweep is bitwise identical, so applying any choice this
-// tuner makes leaves ledgers, traces, and trajectories unchanged (the
-// opt-in fast rsqrt path is never enabled here).
+// tuner makes leaves ledgers, traces, and trajectories unchanged.
 //
 // Decisions persist to a small JSON cache keyed by CPU + build
 // (TuningCache), so repeat runs skip the calibration; a key mismatch
@@ -163,8 +162,6 @@ class HostTuner {
   Result tune() const {
     namespace simd = particles::simd;
     const simd::Backend saved_backend = simd::active();
-    const bool saved_fast = simd::fast_rsqrt();
-    simd::set_fast_rsqrt(false);  // calibration never times the opt-in path
 
     particles::SoaBlock block(make_block(static_cast<int>(cfg_.n)));
     const double pairs = static_cast<double>(cfg_.n) * static_cast<double>(cfg_.n - 1);
@@ -187,7 +184,6 @@ class HostTuner {
     tune_sched(result.best);
 
     simd::set_backend(saved_backend);
-    simd::set_fast_rsqrt(saved_fast);
     return result;
   }
 

@@ -212,7 +212,7 @@ class MidpointMethod {
               const double ffx = mag * dx;
               const double ffy = mag * dy;
               // Per-pair float folds at the AoS pipeline's rounding points
-              // (see the precision invariant in batched_engine.hpp);
+              // (see the precision invariant in soa_block.hpp);
               // antisymmetry: the owner applies the reaction too.
               bv.fx[i] = static_cast<double>(static_cast<float>(bv.fx[i]) +
                                              static_cast<float>(ffx));

@@ -29,7 +29,7 @@ class Integrator {
   /// Lane variants over the resident SoA block: per-lane arithmetic matches
   /// the AoS loops operation for operation (force lanes hold
   /// float-representable values at these call points — see the precision
-  /// invariant in batched_engine.hpp — so reading them is reading p.fx).
+  /// invariant in soa_block.hpp — so reading them is reading p.fx).
   virtual void pre_force(SoaBlock& ps, double dt) const = 0;
   virtual void post_force(SoaBlock& ps, double dt, const Box& box) const = 0;
 

@@ -19,7 +19,6 @@
 
 #include "particles/box.hpp"
 #include "particles/particle.hpp"
-#include "particles/simd/simd.hpp"
 
 namespace canb::particles {
 
@@ -28,24 +27,24 @@ struct PairForce {
   double fy = 0.0;
 };
 
-/// Shared singularity guard: the smallest squared distance any kernel
-/// divides by. Both the scalar and batched engines add this to r^2 before
-/// forming 1/r-type terms, so coincident distinct particles stay finite and
-/// the two engines agree bitwise on the guarded arithmetic.
+/// Shared singularity guard: the smallest squared distance the kernels
+/// without softening divide by. They add this to r^2 before forming
+/// 1/r-type terms, so coincident distinct particles stay finite.
 inline constexpr double kMinR2 = 1e-12;
 
-/// Which per-particle field pair a kernel couples through. The batched
-/// engine uses this to pick the packed lane array (charge, mass, or none)
-/// without per-pair branching.
+/// Which per-particle field pair a kernel couples through: the resident
+/// sweep reads the matching SoA lane (charge, mass, or none) without
+/// per-pair branching.
 enum class Coupling { None, Charge, Mass };
 
 /// A kernel maps (displacement, squared distance, particles) to the force
 /// exerted ON `a` BY `b`, plus a pair potential for energy diagnostics.
 ///
 /// Every kernel is a central force F = magnitude(r2, coupling) * (dx, dy);
-/// `magnitude` must be branch-free and finite for any r2 >= 0 (it is the
-/// auto-vectorized inner-loop body of the batched engine), and `force`
-/// must route through it so the two engines share one arithmetic path.
+/// `magnitude` must be finite for any r2 >= 0 (without a cutoff the
+/// resident sweep evaluates it at r2 = 1 on the same-id lanes the AoS loop
+/// skips, and multiplies it by dx = dy = 0), and `force` must route through
+/// it so the AoS oracle and the resident sweep share one arithmetic path.
 template <class K>
 concept ForceKernel = requires(const K k, const Particle& a, const Particle& b, double d) {
   { k.force(d, d, d, a, b) } -> std::convertible_to<PairForce>;
@@ -54,49 +53,13 @@ concept ForceKernel = requires(const K k, const Particle& a, const Particle& b, 
   { K::kCoupling } -> std::convertible_to<Coupling>;
 };
 
-/// Kernels whose magnitude dominates the sweep (a libm call, or a pipeline
-/// with an explicit SIMD implementation) can additionally provide
-/// `magnitude_lanes`, evaluating a whole lane batch at once. The batched
-/// engine prefers it when present: a libm call in the middle of the wide
-/// masked loop clobbers every caller-saved vector register, spilling all
-/// the loop invariants each iteration — hoisting the call into its own
-/// tight loop over a scratch buffer avoids that and lets it dispatch to
-/// the simd:: backends. Lane arithmetic must match `magnitude` bitwise
-/// when the exact simd paths are active (the default); opt-in fast paths
-/// (simd::set_fast_rsqrt) may differ within the tolerances documented in
-/// simd/simd.hpp.
-template <class K>
-concept LaneBatchedKernel =
-    ForceKernel<K> && requires(const K k, const double* in, double* out, std::size_t n) {
-      { k.magnitude_lanes(in, in, out, n) };
-    };
-
 /// The (scale, softening²) pair of an inverse-cube magnitude
-/// scale * coupling / (d2 * sqrt(d2)), d2 = r2 + soft2: what
-/// `magnitude_lanes` hands to simd::inv_cube_lanes and the resident sweep
-/// hands to simd::inv_cube_sweep.
+/// scale * coupling / (d2 * sqrt(d2)), d2 = r2 + soft2: what the resident
+/// sweep hands to simd::inv_cube_sweep.
 struct InvCube {
   double scale = 1.0;
   double soft2 = 0.0;
 };
-
-namespace detail {
-// Thin forwarders into the simd entry points. The batched engine hands
-// these partially-filled stack tiles (only the first n lanes are written,
-// and only the first n are read); GCC's -Wmaybe-uninitialized cannot see
-// through the extern call and misfires, so the suppression lives here, at
-// the call site the diagnostic is attributed to.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-inline void inv_cube_forward(const double* r2, const double* cpl, double* out, std::size_t n,
-                             double scale, double soft2) noexcept {
-  simd::inv_cube_lanes(r2, cpl, out, n, scale, soft2);
-}
-inline void exp_forward(const double* x, double* out, std::size_t n) noexcept {
-  simd::exp_lanes(x, out, n);
-}
-#pragma GCC diagnostic pop
-}  // namespace detail
 
 /// The coupling factor `magnitude` expects for a given pair.
 template <class K>
@@ -130,10 +93,6 @@ struct InverseSquareRepulsion {
 
   static constexpr Coupling kCoupling = Coupling::Charge;
   static constexpr const char* kName = "inverse_square";
-  /// magnitude_lanes is bitwise-equal to magnitude (modulo the opt-in fast
-  /// rsqrt path), so the engine may freely switch between the inline and
-  /// lane pipelines per block size without changing results.
-  static constexpr bool kLanesExact = true;
 
   /// Magnitude c/d2 along the unit vector (dx,dy)/r — i.e. c/d2^{3/2} * d.
   double magnitude(double r2, double coupling) const noexcept {
@@ -142,13 +101,6 @@ struct InverseSquareRepulsion {
     return c / (d2 * std::sqrt(d2));
   }
   InvCube inv_cube() const noexcept { return {strength, softening * softening}; }
-  /// SIMD-dispatched inverse-cube lanes; bitwise equal to `magnitude` on
-  /// every backend unless the opt-in fast rsqrt path is enabled.
-  void magnitude_lanes(const double* r2, const double* coupling, double* out,
-                       std::size_t n) const noexcept {
-    const InvCube ic = inv_cube();
-    detail::inv_cube_forward(r2, coupling, out, n, ic.scale, ic.soft2);
-  }
   PairForce force(double dx, double dy, double r2, const Particle& a,
                   const Particle& b) const noexcept {
     const double inv = magnitude(r2, pair_coupling<InverseSquareRepulsion>(a, b));
@@ -167,8 +119,6 @@ struct Gravity {
 
   static constexpr Coupling kCoupling = Coupling::Mass;
   static constexpr const char* kName = "gravity";
-  /// See InverseSquareRepulsion::kLanesExact — same inverse-cube lanes.
-  static constexpr bool kLanesExact = true;
 
   double magnitude(double r2, double coupling) const noexcept {
     const double c = -g * coupling;
@@ -176,13 +126,6 @@ struct Gravity {
     return c / (d2 * std::sqrt(d2));
   }
   InvCube inv_cube() const noexcept { return {-g, softening * softening}; }
-  /// SIMD-dispatched inverse-cube lanes; bitwise equal to `magnitude` on
-  /// every backend unless the opt-in fast rsqrt path is enabled.
-  void magnitude_lanes(const double* r2, const double* coupling, double* out,
-                       std::size_t n) const noexcept {
-    const InvCube ic = inv_cube();
-    detail::inv_cube_forward(r2, coupling, out, n, ic.scale, ic.soft2);
-  }
   PairForce force(double dx, double dy, double r2, const Particle& a,
                   const Particle& b) const noexcept {
     const double inv = magnitude(r2, pair_coupling<Gravity>(a, b));
@@ -229,10 +172,6 @@ struct Yukawa {
 
   static constexpr Coupling kCoupling = Coupling::Charge;
   static constexpr const char* kName = "yukawa";
-  /// exp_lanes is ~5e-14 relative vs std::exp, NOT bitwise-equal: the
-  /// engine must never switch this kernel between the inline and lane
-  /// pipelines at runtime (results would depend on block size).
-  static constexpr bool kLanesExact = false;
 
   /// d/dr [ c e^{-r/L} / r ] gives magnitude c e^{-r/L} (1/r^2 + 1/(L r)).
   double magnitude(double r2, double coupling) const noexcept {
@@ -241,21 +180,6 @@ struct Yukawa {
     const double r = std::sqrt(d2);
     const double screen = std::exp(-r / screening_length);
     return c * screen * (1.0 / d2 + 1.0 / (screening_length * r)) / r;
-  }
-  /// Lane-batched `magnitude`: same arithmetic, with the exp hoisted into
-  /// the SIMD-dispatched exp_lanes (<= 5e-14 relative vs std::exp, the
-  /// same on every backend) so it stops serializing the sweep on libm.
-  void magnitude_lanes(const double* r2, const double* coupling, double* out,
-                       std::size_t n) const noexcept {
-    for (std::size_t i = 0; i < n; ++i)
-      out[i] = -std::sqrt(r2[i] + softening * softening) / screening_length;
-    detail::exp_forward(out, out, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double c = strength * coupling[i];
-      const double d2 = r2[i] + softening * softening;
-      const double r = std::sqrt(d2);
-      out[i] = c * out[i] * (1.0 / d2 + 1.0 / (screening_length * r)) / r;
-    }
   }
   PairForce force(double dx, double dy, double r2, const Particle& a,
                   const Particle& b) const noexcept {
@@ -278,26 +202,12 @@ struct Morse {
 
   static constexpr Coupling kCoupling = Coupling::None;
   static constexpr const char* kName = "morse";
-  /// See Yukawa::kLanesExact — exp_lanes is approximate, never switch.
-  static constexpr bool kLanesExact = false;
 
   /// -dU/dr = -2 D a e (1 - e); positive magnitude pushes apart (r < r0).
   double magnitude(double r2, double /*coupling*/) const noexcept {
     const double r = std::sqrt(r2 + kMinR2);
     const double e = std::exp(-width * (r - r0));
     return -2.0 * depth * width * e * (1.0 - e) / r;
-  }
-  /// Lane-batched `magnitude`: same arithmetic, with the exp hoisted into
-  /// the SIMD-dispatched exp_lanes (<= 5e-14 relative vs std::exp, the
-  /// same on every backend) so it stops serializing the sweep on libm.
-  void magnitude_lanes(const double* r2, const double* /*coupling*/, double* out,
-                       std::size_t n) const noexcept {
-    for (std::size_t i = 0; i < n; ++i) out[i] = -width * (std::sqrt(r2[i] + kMinR2) - r0);
-    detail::exp_forward(out, out, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double e = out[i];
-      out[i] = -2.0 * depth * width * e * (1.0 - e) / std::sqrt(r2[i] + kMinR2);
-    }
   }
   PairForce force(double dx, double dy, double r2, const Particle&, const Particle&) const noexcept {
     const double mag = magnitude(r2, 1.0);
@@ -342,18 +252,15 @@ struct SoftSphere {
 ///
 /// `examined` is the cost-model unit and is what the vmpi ledger is
 /// charged from: it counts pairs *visited by the algorithm*, and is
-/// identical however the host executes the sweep (the batched engine's
-/// N3L half-sweep visits each unordered pair once but accounts for both
-/// directed pairs). `computed` is the host-side work metric: directed
-/// pair interactions actually evaluated — roughly half of `examined` for
-/// a half-sweep, the candidate pairs its cell cull kept for the resident
-/// sweep under a cutoff. Telemetry exposes both; the cost model never
-/// reads `computed`.
+/// identical however the host executes the sweep. `computed` is the
+/// host-side work metric: directed pair interactions actually evaluated —
+/// every within-cutoff pair for the AoS loop, the candidate pairs its cell
+/// cull kept for the resident sweep under a cutoff. Telemetry exposes
+/// both; the cost model never reads `computed`.
 struct InteractionCount {
   std::uint64_t examined = 0;       ///< pairs visited (cost-model unit)
   std::uint64_t within_cutoff = 0;  ///< pairs that actually contributed
   std::uint64_t computed = 0;       ///< pair evaluations executed on the host
-  bool half_sweep = false;          ///< whether the N3L half-sweep path ran
 };
 
 /// Accumulates forces on `targets` from `sources`. Self-pairs (same id) are

@@ -1,15 +1,13 @@
 // Serial reference simulator.
 //
 // Ground truth for every distributed decomposition: brute-force O(n^2)
-// force evaluation (optionally cell-list accelerated under a cutoff),
+// force evaluation through the AoS oracle particles::accumulate_forces,
 // the same integrators, the same boundary handling. Tests require the
 // distributed engines to reproduce these trajectories.
 #pragma once
 
 #include <memory>
 
-#include "particles/batched_engine.hpp"
-#include "particles/cell_list.hpp"
 #include "particles/integrator.hpp"
 #include "particles/kernels.hpp"
 
@@ -22,9 +20,7 @@ class SerialReference {
     Box box;
     K kernel{};
     double dt = 1e-3;
-    double cutoff = 0.0;          ///< 0 = all-pairs
-    bool use_cell_list = false;   ///< only meaningful with a cutoff
-    KernelEngine engine = KernelEngine::Scalar;  ///< host-side sweep implementation
+    double cutoff = 0.0;  ///< 0 = all-pairs
   };
 
   SerialReference(Block particles, Config cfg)
@@ -36,14 +32,8 @@ class SerialReference {
 
   void compute_forces() {
     clear_forces(ps_);
-    if (cfg_.cutoff > 0.0 && cfg_.use_cell_list) {
-      cell_list_forces(std::span<Particle>(ps_), cfg_.box, cfg_.kernel, cfg_.cutoff,
-                       cfg_.engine, &scratch_);
-    } else {
-      accumulate_forces_with(cfg_.engine, std::span<Particle>(ps_),
-                             std::span<const Particle>(ps_), cfg_.box, cfg_.kernel,
-                             cfg_.cutoff, &scratch_);
-    }
+    accumulate_forces(std::span<Particle>(ps_), std::span<const Particle>(ps_), cfg_.box,
+                      cfg_.kernel, cfg_.cutoff);
   }
 
   void step() {
@@ -64,9 +54,6 @@ class SerialReference {
   Block ps_;
   Config cfg_;
   std::unique_ptr<Integrator> integrator_;
-  /// Owned sweep scratch: tile capacity lives and dies with this simulator
-  /// instead of accreting in a thread_local for the process lifetime.
-  SweepScratch scratch_;
 };
 
 /// Convenience: forces only (no integration) for a snapshot comparison.

@@ -5,10 +5,11 @@
 // (-O2, no -march, no -ffp-contract=fast), so the scalar reference loops
 // here can never be FMA-contracted or reassociated — which is what makes
 // the "every backend agrees bitwise" guarantees below hold no matter what
-// flags the *calling* binary (e.g. a bench with CANB_NATIVE_ARCH) uses.
-// The AVX2 bodies are compiled via the GCC/Clang `target` function
-// attribute, so no global architecture flags are required and the
-// dispatcher can still run on machines without AVX2.
+// flags the *calling* binary (e.g. a bench built with -O3) uses.
+// The SSE2 bodies need no flag on x86-64, where SSE2 is baseline; the AVX2
+// bodies are compiled via the GCC/Clang `target` function attribute, so no
+// global architecture flags are required and the dispatcher can still run
+// on machines without AVX2.
 #include "particles/simd/simd.hpp"
 
 #include <atomic>
@@ -27,51 +28,6 @@
 namespace canb::particles::simd {
 
 namespace {
-
-// --- exp: shared range reduction + truncated-Taylor polynomial ------------
-// exp(x) = 2^n * exp(r) with n = roundeven(x * log2 e) and r = x - n*ln2,
-// the ln2 subtracted in a high/low split so the reduction is exact to the
-// last bit. |r| <= ln2/2, where the degree-11 polynomial's truncation
-// error is ~9e-15 relative; with per-op rounding the total stays under
-// 5e-14 (accuracy-tested against std::exp). The op sequence is identical —
-// and FMA-free — in every backend, so lanes agree bitwise across
-// scalar/SSE2/AVX2.
-constexpr double kExpClamp = 700.0;
-constexpr double kLog2e = 1.4426950408889634074;
-constexpr double kLn2Hi = 6.93147180369123816490e-01;
-constexpr double kLn2Lo = 1.90821492927058770002e-10;
-constexpr double kExpC[12] = {
-    1.0,          1.0,           1.0 / 2.0,      1.0 / 6.0,
-    1.0 / 24.0,   1.0 / 120.0,   1.0 / 720.0,    1.0 / 5040.0,
-    1.0 / 40320.0, 1.0 / 362880.0, 1.0 / 3628800.0, 1.0 / 39916800.0,
-};
-
-double exp_one(double x) noexcept {
-  x = x < -kExpClamp ? -kExpClamp : (x > kExpClamp ? kExpClamp : x);
-  const double n = std::nearbyint(x * kLog2e);
-  const double r = (x - n * kLn2Hi) - n * kLn2Lo;
-  double p = kExpC[11];
-  for (int k = 10; k >= 0; --k) p = p * r + kExpC[k];
-  const auto ki = static_cast<std::int64_t>(n);
-  const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(ki + 1023) << 52);
-  return p * scale;
-}
-
-void exp_lanes_scalar(const double* x, double* out, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = exp_one(x[i]);
-}
-
-// --- inverse cube: exact and rsqrt-seeded fast magnitudes ------------------
-// Exact: out = (scale*cpl) / (d2 * sqrt(d2)) — only correctly-rounded IEEE
-// ops, so scalar/SSE2/AVX2 agree bitwise with the kernels' `magnitude`.
-void inv_cube_exact_scalar(const double* r2, const double* cpl, double* out, std::size_t n,
-                           double scale, double soft2) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d2 = r2[i] + soft2;
-    out[i] = (scale * cpl[i]) / (d2 * std::sqrt(d2));
-  }
-}
 
 // --- force-sweep test pass --------------------------------------------------
 // One lane of the reference loop's geometry (particles::accumulate_forces):
@@ -180,163 +136,6 @@ struct PackTable {
 };
 constexpr PackTable<2> kPack2{};
 constexpr PackTable<4> kPack4{};
-
-// Fast path: d2^{-3/2} = y^3 from the hardware rsqrt estimate (float,
-// relative error <= 3.7e-4) refined by two FMA-free Newton iterations
-// (y <- y * (1.5 - (0.5*d2) * y*y)), each squaring the error: ~2e-7 then
-// ~6e-14 on y, so <= ~2e-13 on y^3 (documented bound 1e-12). The identical
-// op sequence keeps SSE2 and AVX2 bitwise-equal to each other; forces are
-// then only ULP-close to the exact path, which is why this is opt-in.
-double inv_cube_fast_one(double d2, double c) noexcept {
-  const float f = static_cast<float>(d2);
-  double y = static_cast<double>(_mm_cvtss_f32(_mm_rsqrt_ss(_mm_set_ss(f))));
-  const double h = 0.5 * d2;
-  for (int it = 0; it < 2; ++it) {
-    const double yy = y * y;
-    y = y * (1.5 - h * yy);
-  }
-  return c * (y * (y * y));
-}
-
-void inv_cube_fast_scalar(const double* r2, const double* cpl, double* out, std::size_t n,
-                          double scale, double soft2) noexcept {
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = inv_cube_fast_one(r2[i] + soft2, scale * cpl[i]);
-}
-
-// --- SSE2 bodies (baseline on x86-64: no target attribute needed) ----------
-
-void exp_lanes_sse2(const double* x, double* out, std::size_t n) noexcept {
-  const __m128d hi = _mm_set1_pd(kExpClamp);
-  const __m128d lo = _mm_set1_pd(-kExpClamp);
-  const __m128d log2e = _mm_set1_pd(kLog2e);
-  const __m128d ln2hi = _mm_set1_pd(kLn2Hi);
-  const __m128d ln2lo = _mm_set1_pd(kLn2Lo);
-  const __m128i bias = _mm_set1_epi64x(1023);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128d v = _mm_loadu_pd(x + i);
-    v = _mm_min_pd(_mm_max_pd(v, lo), hi);
-    const __m128i ni = _mm_cvtpd_epi32(_mm_mul_pd(v, log2e));  // roundeven
-    const __m128d nd = _mm_cvtepi32_pd(ni);
-    const __m128d r =
-        _mm_sub_pd(_mm_sub_pd(v, _mm_mul_pd(nd, ln2hi)), _mm_mul_pd(nd, ln2lo));
-    __m128d p = _mm_set1_pd(kExpC[11]);
-    for (int k = 10; k >= 0; --k)
-      p = _mm_add_pd(_mm_mul_pd(p, r), _mm_set1_pd(kExpC[k]));
-    // Sign-extend the two int32 exponents to int64 and build 2^n bitwise.
-    const __m128i ki = _mm_unpacklo_epi32(ni, _mm_srai_epi32(ni, 31));
-    const __m128i bits = _mm_slli_epi64(_mm_add_epi64(ki, bias), 52);
-    _mm_storeu_pd(out + i, _mm_mul_pd(p, _mm_castsi128_pd(bits)));
-  }
-  for (; i < n; ++i) out[i] = exp_one(x[i]);
-}
-
-void inv_cube_exact_sse2(const double* r2, const double* cpl, double* out, std::size_t n,
-                         double scale, double soft2) noexcept {
-  const __m128d soft = _mm_set1_pd(soft2);
-  const __m128d sc = _mm_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d d2 = _mm_add_pd(_mm_loadu_pd(r2 + i), soft);
-    const __m128d num = _mm_mul_pd(sc, _mm_loadu_pd(cpl + i));
-    _mm_storeu_pd(out + i, _mm_div_pd(num, _mm_mul_pd(d2, _mm_sqrt_pd(d2))));
-  }
-  for (; i < n; ++i) {
-    const double d2 = r2[i] + soft2;
-    out[i] = (scale * cpl[i]) / (d2 * std::sqrt(d2));
-  }
-}
-
-void inv_cube_fast_sse2(const double* r2, const double* cpl, double* out, std::size_t n,
-                        double scale, double soft2) noexcept {
-  const __m128d soft = _mm_set1_pd(soft2);
-  const __m128d sc = _mm_set1_pd(scale);
-  const __m128d half = _mm_set1_pd(0.5);
-  const __m128d three_half = _mm_set1_pd(1.5);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d d2 = _mm_add_pd(_mm_loadu_pd(r2 + i), soft);
-    __m128d y = _mm_cvtps_pd(_mm_rsqrt_ps(_mm_cvtpd_ps(d2)));
-    const __m128d h = _mm_mul_pd(half, d2);
-    for (int it = 0; it < 2; ++it) {
-      const __m128d yy = _mm_mul_pd(y, y);
-      y = _mm_mul_pd(y, _mm_sub_pd(three_half, _mm_mul_pd(h, yy)));
-    }
-    const __m128d c = _mm_mul_pd(sc, _mm_loadu_pd(cpl + i));
-    _mm_storeu_pd(out + i, _mm_mul_pd(c, _mm_mul_pd(y, _mm_mul_pd(y, y))));
-  }
-  for (; i < n; ++i) out[i] = inv_cube_fast_one(r2[i] + soft2, scale * cpl[i]);
-}
-
-// --- AVX2 bodies (compiled via the target attribute; dispatch guards) -------
-
-__attribute__((target("avx2"))) void exp_lanes_avx2(const double* x, double* out,
-                                                    std::size_t n) noexcept {
-  const __m256d hi = _mm256_set1_pd(kExpClamp);
-  const __m256d lo = _mm256_set1_pd(-kExpClamp);
-  const __m256d log2e = _mm256_set1_pd(kLog2e);
-  const __m256d ln2hi = _mm256_set1_pd(kLn2Hi);
-  const __m256d ln2lo = _mm256_set1_pd(kLn2Lo);
-  const __m256i bias = _mm256_set1_epi64x(1023);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256d v = _mm256_loadu_pd(x + i);
-    v = _mm256_min_pd(_mm256_max_pd(v, lo), hi);
-    const __m128i ni = _mm256_cvtpd_epi32(_mm256_mul_pd(v, log2e));  // roundeven
-    const __m256d nd = _mm256_cvtepi32_pd(ni);
-    const __m256d r = _mm256_sub_pd(_mm256_sub_pd(v, _mm256_mul_pd(nd, ln2hi)),
-                                    _mm256_mul_pd(nd, ln2lo));
-    __m256d p = _mm256_set1_pd(kExpC[11]);
-    for (int k = 10; k >= 0; --k)
-      p = _mm256_add_pd(_mm256_mul_pd(p, r), _mm256_set1_pd(kExpC[k]));
-    const __m256i bits =
-        _mm256_slli_epi64(_mm256_add_epi64(_mm256_cvtepi32_epi64(ni), bias), 52);
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(p, _mm256_castsi256_pd(bits)));
-  }
-  for (; i < n; ++i) out[i] = exp_one(x[i]);
-}
-
-__attribute__((target("avx2"))) void inv_cube_exact_avx2(const double* r2, const double* cpl,
-                                                         double* out, std::size_t n,
-                                                         double scale,
-                                                         double soft2) noexcept {
-  const __m256d soft = _mm256_set1_pd(soft2);
-  const __m256d sc = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d2 = _mm256_add_pd(_mm256_loadu_pd(r2 + i), soft);
-    const __m256d num = _mm256_mul_pd(sc, _mm256_loadu_pd(cpl + i));
-    _mm256_storeu_pd(out + i,
-                     _mm256_div_pd(num, _mm256_mul_pd(d2, _mm256_sqrt_pd(d2))));
-  }
-  for (; i < n; ++i) {
-    const double d2 = r2[i] + soft2;
-    out[i] = (scale * cpl[i]) / (d2 * std::sqrt(d2));
-  }
-}
-
-__attribute__((target("avx2"))) void inv_cube_fast_avx2(const double* r2, const double* cpl,
-                                                        double* out, std::size_t n,
-                                                        double scale, double soft2) noexcept {
-  const __m256d soft = _mm256_set1_pd(soft2);
-  const __m256d sc = _mm256_set1_pd(scale);
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d three_half = _mm256_set1_pd(1.5);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d2 = _mm256_add_pd(_mm256_loadu_pd(r2 + i), soft);
-    __m256d y = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(d2)));
-    const __m256d h = _mm256_mul_pd(half, d2);
-    for (int it = 0; it < 2; ++it) {
-      const __m256d yy = _mm256_mul_pd(y, y);
-      y = _mm256_mul_pd(y, _mm256_sub_pd(three_half, _mm256_mul_pd(h, yy)));
-    }
-    const __m256d c = _mm256_mul_pd(sc, _mm256_loadu_pd(cpl + i));
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(c, _mm256_mul_pd(y, _mm256_mul_pd(y, y))));
-  }
-  for (; i < n; ++i) out[i] = inv_cube_fast_one(r2[i] + soft2, scale * cpl[i]);
-}
 
 // --- force-sweep test pass: SSE2 (2 lanes) and AVX2 (4 lanes) ----------------
 // Each body is wrap_one/test_one lane-parallel: the minimum-image candidates
@@ -665,7 +464,6 @@ TestLanesFn test_lanes_body(Backend b, bool cut) noexcept {
 // --- dispatch state ---------------------------------------------------------
 
 std::atomic<int> g_backend{-1};  ///< -1 = not yet resolved from env/CPUID
-std::atomic<bool> g_fast_rsqrt{false};
 
 Backend clamp_to_supported(Backend b) noexcept {
   return static_cast<int>(b) > static_cast<int>(max_supported()) ? max_supported() : b;
@@ -717,45 +515,6 @@ Backend set_backend(Backend b) noexcept {
   const Backend installed = clamp_to_supported(b);
   g_backend.store(static_cast<int>(installed), std::memory_order_relaxed);
   return installed;
-}
-
-bool fast_rsqrt() noexcept { return g_fast_rsqrt.load(std::memory_order_relaxed); }
-
-void set_fast_rsqrt(bool on) noexcept {
-#if !CANB_SIMD_X86
-  on = false;  // no hardware estimate to seed from; exact path only
-#endif
-  g_fast_rsqrt.store(on, std::memory_order_relaxed);
-}
-
-void inv_cube_lanes(const double* r2, const double* cpl, double* out, std::size_t n,
-                    double scale, double soft2) noexcept {
-#if CANB_SIMD_X86
-  const bool fast = fast_rsqrt();
-  switch (active()) {
-    case Backend::Avx2:
-      return fast ? inv_cube_fast_avx2(r2, cpl, out, n, scale, soft2)
-                  : inv_cube_exact_avx2(r2, cpl, out, n, scale, soft2);
-    case Backend::Sse2:
-      return fast ? inv_cube_fast_sse2(r2, cpl, out, n, scale, soft2)
-                  : inv_cube_exact_sse2(r2, cpl, out, n, scale, soft2);
-    case Backend::Scalar:
-      return fast ? inv_cube_fast_scalar(r2, cpl, out, n, scale, soft2)
-                  : inv_cube_exact_scalar(r2, cpl, out, n, scale, soft2);
-  }
-#endif
-  inv_cube_exact_scalar(r2, cpl, out, n, scale, soft2);
-}
-
-void exp_lanes(const double* x, double* out, std::size_t n) noexcept {
-#if CANB_SIMD_X86
-  switch (active()) {
-    case Backend::Avx2: return exp_lanes_avx2(x, out, n);
-    case Backend::Sse2: return exp_lanes_sse2(x, out, n);
-    case Backend::Scalar: return exp_lanes_scalar(x, out, n);
-  }
-#endif
-  exp_lanes_scalar(x, out, n);
 }
 
 std::size_t inv_cube_sweep(const InvCubeSweep& p, const SweepLanes& tgt, const SweepLanes& src,

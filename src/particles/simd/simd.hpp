@@ -1,10 +1,10 @@
-// Explicit SIMD backends for the force sweeps' lane pipelines.
+// Explicit SIMD backends for the resident force sweep's lane loops.
 //
 // The library targets are deliberately built with portable flags (no
 // -march), so the auto-vectorizer cannot use anything past baseline SSE2
-// there — and libm calls (sqrt with errno, exp) stay scalar. This module
-// provides the lane pipelines that dominate the force sweep as
-// hand-dispatched kernels instead:
+// there — and libm's sqrt (with errno) stays scalar. This module provides
+// the two loops that dominate the sweep as hand-dispatched kernels
+// instead:
 //
 //  * inv_cube_sweep — the resident sweep's evaluate loop for the
 //    inverse-cube kernels (particles/sweep.hpp): targets held in vector
@@ -16,20 +16,6 @@
 //    kernels: geometry, id and cutoff tests for a row of source lanes,
 //    packing the kept lanes' indices. Same op sequence as the AoS reference
 //    loop, no FMA, so every backend writes bitwise-identical lanes.
-//  * inv_cube_lanes — the r^2 -> coupling/(d2*sqrt(d2)) pipeline behind
-//    InverseSquareRepulsion and Gravity. The exact variant uses only
-//    correctly-rounded IEEE ops (add/mul/div/sqrt, no FMA), so every
-//    backend produces BITWISE-identical lanes to the scalar expression
-//    `c / (d2 * std::sqrt(d2))` — the engines' bitwise trajectory contract
-//    survives backend dispatch untouched. The opt-in fast variant seeds
-//    with the hardware rsqrt estimate and refines by Newton iterations
-//    (documented relative error <= 1e-12); it is OFF by default and only
-//    ever enabled by an explicit tuner/bench/CLI decision.
-//  * exp_lanes — a lane-batched exp for the Yukawa/Morse magnitude path.
-//    One shared range-reduction + polynomial algorithm, implemented with
-//    the same non-FMA operation sequence in every backend, so scalar, SSE2
-//    and AVX2 agree bitwise with each other (relative error vs std::exp
-//    <= 5e-14 over the kernels' operating range; accuracy-tested).
 //
 // Backend selection is RUNTIME dispatch: CPUID decides the widest usable
 // backend, the CANB_SIMD environment variable (scalar|sse2|avx2) can lower
@@ -45,7 +31,7 @@
 
 namespace canb::particles::simd {
 
-/// Instruction-set backend for the lane pipelines, in widening order.
+/// Instruction-set backend for the lane loops, in widening order.
 /// On non-x86 builds only Scalar is supported.
 enum class Backend { Scalar = 0, Sse2 = 1, Avx2 = 2 };
 
@@ -57,7 +43,7 @@ std::optional<Backend> parse_backend(std::string_view name) noexcept;
 /// Widest backend this CPU supports (CPUID probe, cached).
 Backend max_supported() noexcept;
 
-/// The backend the lane pipelines currently dispatch to. Initialized on
+/// The backend the lane loops currently dispatch to. Initialized on
 /// first use from CANB_SIMD (clamped to max_supported(); unknown values
 /// are ignored), defaulting to max_supported().
 Backend active() noexcept;
@@ -66,24 +52,6 @@ Backend active() noexcept;
 /// backend actually installed. Call at configuration time — the sweeps
 /// themselves never mutate it, so a run uses one backend throughout.
 Backend set_backend(Backend b) noexcept;
-
-/// Whether inv_cube_lanes may use the rsqrt-estimate fast path (default
-/// false: exact, bitwise-stable arithmetic).
-bool fast_rsqrt() noexcept;
-void set_fast_rsqrt(bool on) noexcept;
-
-/// out[i] = scale * cpl[i] / (d2 * sqrt(d2)) with d2 = r2[i] + soft2 —
-/// the inverse-cube magnitude lane shared by InverseSquareRepulsion
-/// (scale = strength) and Gravity (scale = -g). Exact mode is bitwise
-/// equal to the scalar expression on every backend; fast mode (see
-/// fast_rsqrt()) has relative error <= 1e-12.
-void inv_cube_lanes(const double* r2, const double* cpl, double* out, std::size_t n,
-                    double scale, double soft2) noexcept;
-
-/// out[i] = exp(x[i]) for finite x (clamped to [-700, 700] first, so the
-/// result never overflows or denormalizes). All backends are bitwise
-/// identical to each other; relative error vs std::exp <= 5e-14.
-void exp_lanes(const double* x, double* out, std::size_t n) noexcept;
 
 /// Geometry and kernel constants of one inv_cube_sweep call.
 struct InvCubeSweep {

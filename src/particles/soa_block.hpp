@@ -1,11 +1,10 @@
 // The resident structure-of-arrays particle block.
 //
-// PR 1 introduced SoaTile as per-sweep scratch: every block-block sweep paid
-// an AoS->SoA gather and a scatter-add back into particles::Block. This type
-// makes the SoA layout the *resident* representation instead: RealPolicy's
-// Buffer is a SoaBlock, so the buffers the vmpi primitives shift, skew,
-// broadcast, and reduce are already in the layout the batched engine's inner
-// loop consumes — zero per-sweep repacking on the resident side.
+// The SoA layout is the *resident* representation: RealPolicy's Buffer is a
+// SoaBlock, so the buffers the vmpi primitives shift, skew, broadcast, and
+// reduce are already in the layout the resident force sweep
+// (particles/sweep.hpp) reads — no per-sweep gather from, or scatter back
+// into, an AoS particles::Block.
 //
 // Lane types mirror the 52-byte wire record where the physics depends on
 // them (positions, velocities, couplings stay float, so trajectories match
@@ -14,7 +13,8 @@
 // float at the same points the AoS pipeline stored to a float field — so
 // at phase boundaries they always hold float-representable values,
 // materializing a Particle is lossless, and trajectories are bitwise
-// identical to the wire-format pipeline (see batched_engine.hpp). The
+// identical to the wire-format pipeline. This is the force-lane precision
+// invariant; sweep.hpp's detail::fold_force is where the sweep keeps it. The
 // serialized size of a block is DEFINED as size() * kParticleBytes: the
 // ledger charges bytes from particle counts, never from host layout (see
 // docs/MODEL.md).
@@ -114,16 +114,14 @@ struct SoaBlock {
   void wire_put(wire::Writer& w) const;
   void wire_get(wire::Reader& r);
 
-  // Lane accessors shared with SoaTile so BatchedEngine::sweep is generic
-  // over "resident block" and "gathered tile" sources (float lanes are
-  // promoted to double per load inside the sweep — an exact conversion).
+  // Read-only lane accessors for the resident sweep and lane_coupling
+  // (float lanes are promoted to double where they are read — an exact
+  // conversion).
   const float* xs() const noexcept { return px.data(); }
   const float* ys() const noexcept { return py.data(); }
   const float* charges() const noexcept { return charge.data(); }
   const float* masses() const noexcept { return mass.data(); }
   const std::int32_t* ids() const noexcept { return id.data(); }
-  double* fxs() noexcept { return fx.data(); }
-  double* fys() noexcept { return fy.data(); }
 
   /// Materializing const iterator: read-only range-for over a SoaBlock
   /// yields Particle values, so diagnostic loops written against the AoS

@@ -54,11 +54,11 @@
 
 namespace canb::particles {
 
-/// Kernels whose magnitude is the exact inverse-cube lane pipeline: the
-/// sweep evaluates them in simd::inv_cube_sweep with the (scale, softening²)
-/// their `inv_cube()` reports.
+/// Kernels whose magnitude is the inverse-cube form: the sweep evaluates
+/// them in simd::inv_cube_sweep with the (scale, softening²) their
+/// `inv_cube()` reports.
 template <class K>
-concept ExactLaneKernel = LaneBatchedKernel<K> && K::kLanesExact && requires(const K k) {
+concept ExactLaneKernel = ForceKernel<K> && requires(const K k) {
   { k.inv_cube() } -> std::convertible_to<InvCube>;
 };
 

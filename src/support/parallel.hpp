@@ -120,8 +120,8 @@ class ThreadPool {
   /// in [0, tasks), distributed according to sched_mode(). `worker` is a
   /// stable index in [0, thread_count()) (0 = the calling thread) so task
   /// bodies can address per-worker scratch. `cost` (optional, length
-  /// `tasks`) are relative per-task cost hints — e.g. a cell-list
-  /// interaction-count histogram — used to cost-weight the initial
+  /// `tasks`) are relative per-task cost hints — e.g. the CA engines'
+  /// per-rank block-pair sizes — used to cost-weight the initial
   /// contiguous partition under kStealing; kStatic ignores them and
   /// reproduces the historical equal-index chunks. Allocation-free once
   /// warmed. fn must not throw and must honor the determinism contract in

@@ -105,6 +105,10 @@ struct SocketTransport::Peer {
 
 SocketTransport::SocketTransport(const SocketConfig& cfg)
     : cfg_(cfg), epoch_start_(std::chrono::steady_clock::now()) {
+  // At a rate of 1 every sequenced frame is dropped, retransmits included,
+  // so nothing is ever delivered and both sides wait forever.
+  CANB_REQUIRE(cfg_.drop_rate >= 0.0 && cfg_.drop_rate < 1.0,
+               "socket transport drop rate must be in [0, 1) (1 would never deliver)");
   CANB_REQUIRE(cfg_.ranks >= 1, "socket transport needs at least one rank");
   CANB_REQUIRE(cfg_.groups >= 1 && cfg_.groups <= cfg_.ranks,
                "socket transport needs 1 <= groups <= ranks");

@@ -7,7 +7,8 @@
 // pair exactly at the cutoff across a cell boundary, periodic pairs across
 // the box edge, a tiny cutoff on a large block), and so are the cases where
 // `computed` is exact. The test pass itself (simd::test_lanes) is also
-// pinned lane by lane across backends. The simd-backends CI job re-runs
+// pinned lane by lane across backends, and so is the dispatch plumbing
+// (backend names, set_backend's clamp). The simd-backends CI job re-runs
 // this binary with each CANB_SIMD value.
 #include <gtest/gtest.h>
 
@@ -503,6 +504,31 @@ TEST(TestLanes, NanDistanceIsKeptLikeTheReference) {
     EXPECT_EQ(keep[2], 3u);
     EXPECT_EQ(keep[3], 4u);
   }
+}
+
+// --- dispatch plumbing -----------------------------------------------------
+
+TEST(SimdDispatch, BackendNamesRoundTrip) {
+  for (const auto b : {simd::Backend::Scalar, simd::Backend::Sse2, simd::Backend::Avx2}) {
+    const auto parsed = simd::parse_backend(simd::backend_name(b));
+    ASSERT_TRUE(parsed.has_value()) << simd::backend_name(b);
+    EXPECT_EQ(*parsed, b);
+  }
+  EXPECT_FALSE(simd::parse_backend("").has_value());
+  EXPECT_FALSE(simd::parse_backend("avx512").has_value());
+  EXPECT_FALSE(simd::parse_backend("AVX2").has_value());
+}
+
+TEST(SimdDispatch, SetBackendClampsToSupportAndInstalls) {
+  BackendGuard guard;
+  const simd::Backend max = simd::max_supported();
+  for (const simd::Backend want : supported_backends()) {
+    EXPECT_EQ(simd::set_backend(want), want);
+    EXPECT_EQ(simd::active(), want);
+  }
+  // Requesting past the hardware clamps instead of installing garbage.
+  EXPECT_LE(simd::set_backend(simd::Backend::Avx2), max);
+  EXPECT_LE(simd::active(), max);
 }
 
 }  // namespace

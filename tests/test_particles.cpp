@@ -1,11 +1,10 @@
 // Particle substrate: record layout, boxes/boundaries, kernels, integrators,
-// initializers, cell lists, diagnostics, and the serial reference.
+// initializers, diagnostics, and the serial reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "particles/box.hpp"
-#include "particles/cell_list.hpp"
 #include "particles/diagnostics.hpp"
 #include "particles/init.hpp"
 #include "particles/integrator.hpp"
@@ -290,45 +289,6 @@ TEST(Init, OneDimensionalInitializersZeroY) {
     EXPECT_EQ(p.py, 0.0f);
     EXPECT_EQ(p.vy, 0.0f);
   }
-}
-
-// --- cell list ------------------------------------------------------------------
-
-TEST(CellList, MatchesBruteForceUnderCutoff) {
-  const Box box = Box::reflective_2d(1.0);
-  const double cutoff = 0.2;
-  const InverseSquareRepulsion k{1.0, 1e-2};
-  Block a = init_uniform(200, box, 11);
-  Block b = a;
-  cell_list_forces(std::span<Particle>(a), box, k, cutoff);
-  accumulate_forces(std::span<Particle>(b), std::span<const Particle>(b), box, k, cutoff);
-  sort_by_id(a);
-  sort_by_id(b);
-  EXPECT_LT(max_force_deviation(a, b), 1e-4);
-}
-
-TEST(CellList, MatchesBruteForcePeriodic) {
-  const Box box = Box::periodic_2d(1.0);
-  const double cutoff = 0.2;
-  const InverseSquareRepulsion k{1.0, 1e-2};
-  Block a = init_uniform(150, box, 13);
-  Block b = a;
-  cell_list_forces(std::span<Particle>(a), box, k, cutoff);
-  accumulate_forces(std::span<Particle>(b), std::span<const Particle>(b), box, k, cutoff);
-  sort_by_id(a);
-  sort_by_id(b);
-  EXPECT_LT(max_force_deviation(a, b), 1e-4);
-}
-
-TEST(CellList, BinOfClampsToGrid) {
-  const Box box = Box::reflective_2d(1.0);
-  CellList cl(box, 0.25);
-  Particle p;
-  p.px = 0.999999f;
-  p.py = 0.0f;
-  const auto [cx, cy] = cl.bin_of(p);
-  EXPECT_EQ(cx, cl.cells_x() - 1);
-  EXPECT_EQ(cy, 0);
 }
 
 // --- diagnostics ---------------------------------------------------------------

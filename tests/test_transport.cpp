@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -30,6 +31,7 @@
 #include "machine/presets.hpp"
 #include "particles/init.hpp"
 #include "particles/soa_block.hpp"
+#include "support/assert.hpp"
 #include "support/wire.hpp"
 #include "vmpi/primitives.hpp"
 #include "vmpi/socket_transport.hpp"
@@ -245,6 +247,25 @@ TEST(TransportConformance, SocketLossyLinkStillDeliversInOrder) {
   }
   // The drop injection must actually have engaged the reliable layer.
   EXPECT_GT(mesh.a->stats().retransmits, 0u);
+}
+
+// A drop rate of 1 discards every sequenced frame, retransmits included, so
+// a mesh built with it would wait forever: the constructor rejects it (and
+// any rate outside [0, 1)) before any socket work. A single-group mesh
+// opens no socket, so without the check these would construct fine.
+TEST(TransportConformance, SocketRejectsDropRateOutsideUnitInterval) {
+  for (const double rate : {1.0, 1.5, -0.5, std::nan("")}) {
+    SocketConfig cfg;
+    cfg.ranks = 2;
+    cfg.drop_rate = rate;
+    EXPECT_THROW(SocketTransport{cfg}, PreconditionError) << "drop_rate " << rate;
+  }
+  for (const double rate : {0.0, 0.5}) {
+    SocketConfig cfg;
+    cfg.ranks = 2;
+    cfg.drop_rate = rate;
+    EXPECT_NO_THROW(SocketTransport{cfg}) << "drop_rate " << rate;
+  }
 }
 
 // Remote payloads are received into buffers taken from the destination's

@@ -56,10 +56,6 @@ struct Case {
   int c = 2;
   double cutoff = 0.1;
   int threads = 1;
-  /// Host data plane (vmpi/buffer_pool.hpp): pooled lane-subset copies vs
-  /// the legacy full-copy host path. Virtual ledgers are identical; only
-  /// host wall time moves.
-  bool pooled = true;
   /// Initial particle distribution: "uniform", "plummer" (dense core),
   /// or "ring" (annulus). Clustered inputs skew the per-cell interaction
   /// histogram — the workload the stealing scheduler exists for.
@@ -79,8 +75,7 @@ struct Result {
 /// time: the workload seed is fixed).
 sim::Simulation<particles::InverseSquareRepulsion> make_sim(
     const Case& cs, int series_capacity = 0,
-    std::shared_ptr<vmpi::Transport> transport = nullptr,
-    vmpi::ExecMode exec = vmpi::ExecMode::OwnerComputes) {
+    std::shared_ptr<vmpi::Transport> transport = nullptr) {
   sim::Simulation<particles::InverseSquareRepulsion>::Config cfg;
   cfg.method = cs.method;
   cfg.p = cs.p;
@@ -89,11 +84,9 @@ sim::Simulation<particles::InverseSquareRepulsion> make_sim(
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.cutoff = cs.cutoff;
   cfg.dt = 1e-4;
-  cfg.pooled_data_plane = cs.pooled;
   cfg.sched = cs.sched;
   cfg.steal_grain = cs.steal_grain;
   cfg.transport = std::move(transport);
-  cfg.exec = exec;
   if (series_capacity > 0) {
     cfg.obs = obs::ObsLevel::Metrics;
     cfg.series_capacity = series_capacity;
@@ -150,22 +143,18 @@ double measure_steps_per_sec(const Case& cs, double min_ms, int repeats) {
 struct SocketResult {
   Case cfg;
   int groups = 0;
-  vmpi::ExecMode exec = vmpi::ExecMode::OwnerComputes;
   int steps = 0;
   double steps_per_sec = 0.0;
 };
 
-/// The socket arm: forks `groups` OS processes over a Unix-socket mesh and
+/// The socket arm: forks `groups` OS processes over a Unix-socket mesh
+/// (owner-computes: each process sweeps only the ranks its group owns) and
 /// times `steps` fixed steps on the primary, barrier-aligned on both ends
-/// so the window covers the whole mesh's work. Runs lockstep and
-/// owner-computes back-to-back from the same binary on the same host, so
-/// the recorded ratio (owner-computes skips the non-owned ~ (G-1)/G of the
-/// force sweeps) is an honest same-host comparison. MUST run before any
+/// so the window covers the whole mesh's work. MUST run before any
 /// ThreadPool exists — fork precedes threads — which is why main() does
 /// the socket cases first, single-threaded. Children exit here; only the
 /// primary returns.
-double measure_socket_steps_per_sec(const Case& cs, int groups, vmpi::ExecMode exec,
-                                    int steps) {
+double measure_socket_steps_per_sec(const Case& cs, int groups, int steps) {
   const std::string dir = vmpi::make_rendezvous_dir();
   vmpi::ProcessGroup pg(groups);
   double sps = 0.0;
@@ -176,7 +165,7 @@ double measure_socket_steps_per_sec(const Case& cs, int groups, vmpi::ExecMode e
     sc.group = pg.group();
     sc.dir = dir;
     auto transport = std::make_shared<vmpi::SocketTransport>(sc);
-    auto simulation = make_sim(cs, 0, transport, exec);
+    auto simulation = make_sim(cs, 0, transport);
     simulation.step();  // warmup: faults pages, primes scratch + mailboxes
     transport->barrier();
     const auto start = std::chrono::steady_clock::now();
@@ -221,13 +210,12 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
           .kv("c", r.cfg.c)
           .kv("cutoff", r.cfg.cutoff)
           .kv("threads", r.cfg.threads)
-          .kv("data_plane", r.cfg.pooled ? "pooled" : "legacy")
           .kv("dist", r.cfg.dist)
           .kv("sched", to_string(r.cfg.sched))
           .kv("steps_per_sec", r.steps_per_sec);
     });
   }
-  // Socket-mesh rows: lockstep vs owner-computes wall clock, back to back.
+  // Socket-mesh rows: owner-computes wall clock per group count.
   for (const auto& r : socket_rs) {
     out.row([&](obs::JsonWriter& w) {
       w.kv("method", sim::method_name(r.cfg.method))
@@ -238,7 +226,6 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
           .kv("threads", r.cfg.threads)
           .kv("transport", "socket")
           .kv("groups", r.groups)
-          .kv("exec", vmpi::exec_mode_name(r.exec))
           .kv("steps", r.steps)
           .kv("steps_per_sec", r.steps_per_sec);
     });
@@ -259,21 +246,16 @@ int main(int argc, char** argv) {
 
   // Socket-mesh arm FIRST: ProcessGroup forks, and fork must precede any
   // thread this process ever spawns (ThreadPool workers, transport
-  // readers are joined before each case ends). Lockstep and
-  // owner-computes run back to back per group count so BENCH_step.json
-  // records the wall-clock ratio of dividing the sweeps vs replicating
-  // them. --socket-steps=0 skips the arm.
+  // readers are joined before each case ends). --socket-steps=0 skips the
+  // arm.
   std::vector<SocketResult> socket_results;
   if (socket_steps > 0) {
     const Case socket_case{sim::Method::CaCutoff, 4096, 64, 2, 0.1, 1};
     for (const int groups : {2, 4}) {
-      for (const auto exec : {vmpi::ExecMode::Lockstep, vmpi::ExecMode::OwnerComputes}) {
-        SocketResult r{socket_case, groups, exec, socket_steps,
-                       measure_socket_steps_per_sec(socket_case, groups, exec, socket_steps)};
-        socket_results.push_back(r);
-        std::printf("socket g=%d %-14s %.2f steps/s\n", groups, vmpi::exec_mode_name(exec),
-                    r.steps_per_sec);
-      }
+      SocketResult r{socket_case, groups, socket_steps,
+                     measure_socket_steps_per_sec(socket_case, groups, socket_steps)};
+      socket_results.push_back(r);
+      std::printf("socket g=%d %.2f steps/s\n", groups, r.steps_per_sec);
     }
   }
 
@@ -289,14 +271,8 @@ int main(int argc, char** argv) {
   cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, 4});
   // Broadcast/reduce-dominated: deep replication (c=8 -> 7 replica copies
   // per team per step) over small blocks, where the per-step host time is
-  // mostly data movement, not force arithmetic. Run with both host data
-  // planes back-to-back so the pooled/legacy ratio is recorded in the same
-  // JSON from the same process on the same host.
-  for (const int n : {128, 512}) {
-    for (const bool pooled : {false, true}) {
-      cases.push_back({sim::Method::CaAllPairs, n, 64, 8, 0.0, 1, pooled});
-    }
-  }
+  // mostly data movement, not force arithmetic.
+  for (const int n : {128, 512}) cases.push_back({sim::Method::CaAllPairs, n, 64, 8, 0.0, 1});
   // Clustered arm: Plummer core / ring annulus over the cutoff schedule,
   // static vs stealing back-to-back from the same process, so the recorded
   // ratio is an honest same-host comparison. Clustered inputs make per-cell
@@ -306,20 +282,18 @@ int main(int argc, char** argv) {
   for (const std::string& dist : {std::string("plummer"), std::string("ring")}) {
     for (const int threads : {4, 8}) {
       for (const SchedMode sched : {SchedMode::kStatic, SchedMode::kStealing}) {
-        cases.push_back(
-            {sim::Method::CaCutoff, 4096, 64, 2, 0.1, threads, true, dist, sched, 2});
+        cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, threads, dist, sched, 2});
       }
     }
   }
 
   std::vector<Result> results;
-  std::cout << "method        n      p    c  thr  plane   dist     sched    steps/s\n";
+  std::cout << "method        n      p    c  thr  dist     sched    steps/s\n";
   for (const auto& cs : cases) {
     Result r{cs, measure_steps_per_sec(cs, min_ms, repeats)};
     results.push_back(r);
-    std::printf("%-13s %-6d %-4d %-2d %-4d %-7s %-8s %-8s %.2f\n",
-                sim::method_name(cs.method), cs.n, cs.p, cs.c, cs.threads,
-                cs.pooled ? "pooled" : "legacy", cs.dist.c_str(), to_string(cs.sched),
+    std::printf("%-13s %-6d %-4d %-2d %-4d %-8s %-8s %.2f\n", sim::method_name(cs.method),
+                cs.n, cs.p, cs.c, cs.threads, cs.dist.c_str(), to_string(cs.sched),
                 r.steps_per_sec);
   }
   write_json(out_path, results, socket_results, min_ms, repeats);

@@ -19,8 +19,6 @@
 //                 (support/parallel.hpp); outputs are bitwise identical
 //                 either way — stealing only rebalances execution
 //   --steal-grain tasks clipped per steal (stealing mode; default 1)
-//   --data-plane  pooled | legacy host buffer movement (vmpi/buffer_pool.hpp);
-//                 host wall time only — outputs are bitwise identical
 //   --tune        off | auto | force host autotuning (core/host_tuner.hpp):
 //                 auto calibrates (or reuses --tune-cache) and installs the
 //                 fastest {SIMD backend, threads, scheduler} for the force
@@ -29,9 +27,13 @@
 //   --tune-cache  path to the persisted tuning cache (docs/TUNING.md)
 //
 // Real transport (docs/TRANSPORT.md). The modeled default moves bytes
-// in-process and only charges the virtual clock; shmem/socket run the same
-// schedule over an actual fabric with bitwise-identical output:
-//   --transport        modeled | shmem | socket (default modeled)
+// in-process and only charges the virtual clock; socket runs the same
+// schedule over Unix-domain sockets between OS processes, owner-computes:
+// each process runs force sweeps and reassign splits only for the ranks
+// its group owns and gathers full state over the wire at snapshot points.
+// Trajectories, ledgers, and traces stay bitwise identical to the modeled
+// arm. Only the CA methods (ca-all-pairs, ca-cutoff) run on a socket mesh.
+//   --transport        modeled | socket (default modeled)
 //   --transport-groups socket: number of OS processes (forked here unless
 //                      --transport-group names this process's group)
 //   --transport-group  socket: this process's group index, for externally
@@ -41,17 +43,11 @@
 //   --transport-drop   socket: seeded egress drop probability on data
 //                      frames, exercising the reliable channel
 //   --transport-drop-seed  seed for that drop stream (default 1)
-//   --transport-exec   socket: owner | lockstep (default owner). Owner-
-//                      computes makes each process run force sweeps and
-//                      reassign splits only for its owned ranks and gather
-//                      full state over the wire at snapshot points — the
-//                      true distribution mode (host wall drops ~G×);
-//                      lockstep keeps the PR 8 full-SPMD replication.
-//                      Either way, trajectories, ledgers, and traces are
-//                      bitwise identical to the modeled arm.
 // With --transport=socket only the group-0 process prints and writes
 // output files; the other groups compute, feed the fabric, and exit. A
-// crashed group fails the whole run with that group's exit status.
+// crashed group fails the whole run with that group's exit status; a
+// process that loses a peer mid-run prints one line naming the lost group
+// and flow and exits 1.
 //
 // Fault injection (deterministic; see vmpi/fault.hpp and docs/TESTING.md).
 // Passing any of these attaches a PerturbationModel to the virtual machine;
@@ -169,17 +165,18 @@ using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 const std::vector<std::string> kOptions = {
     "method", "machine", "workload", "n", "p", "c", "steps", "dt", "cutoff", "seed", "xyz",
     "csv", "checkpoint", "restart", "report", "rdf", "threads", "sched", "steal-grain",
-    "integrator", "data-plane", "tune", "tune-cache", "fault-seed", "straggler", "jitter",
-    "drop-rate", "link-degrade", "obs-level", "metrics-out", "trace-out", "spans-csv", "serve",
+    "integrator", "tune", "tune-cache", "fault-seed", "straggler", "jitter", "drop-rate",
+    "link-degrade", "obs-level", "metrics-out", "trace-out", "spans-csv", "serve",
     "serve-linger", "series-out", "series-capacity", "straggler-factor", "transport",
     "transport-groups", "transport-group", "transport-dir", "transport-drop",
-    "transport-drop-seed", "transport-exec", "help"};
+    "transport-drop-seed", "help"};
 
 /// Everything the options decide, parsed and validated before any process
 /// is forked or any simulation state is built.
 struct RunPlan {
   Sim::Config cfg;
-  vmpi::TransportOptions topts;
+  /// Set for --transport=socket; modeled attaches no transport.
+  std::optional<vmpi::SocketConfig> socket;
   /// Socket transport without --transport-group: this process forks the
   /// other groups itself.
   bool fork_groups = false;
@@ -210,11 +207,6 @@ RunPlan plan_run(const CliArgs& args) {
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.integrator = args.get("integrator", "velocity-verlet");
   {
-    const std::string dp = args.get("data-plane", "pooled");
-    CANB_REQUIRE(dp == "pooled" || dp == "legacy", "unknown --data-plane (pooled | legacy)");
-    cfg.pooled_data_plane = dp == "pooled";
-  }
-  {
     const auto sched = parse_sched_mode(args.get("sched", "static"));
     CANB_REQUIRE(sched.has_value(), "unknown --sched (static | stealing)");
     cfg.sched = *sched;
@@ -244,40 +236,33 @@ RunPlan plan_run(const CliArgs& args) {
   {
     const std::string tname = args.get("transport", "modeled");
     const auto kind = vmpi::parse_transport_kind(tname);
-    CANB_REQUIRE(kind.has_value(), "unknown --transport (modeled | shmem | socket): " + tname);
-    vmpi::TransportOptions& topts = plan.topts;
-    topts.kind = *kind;
-    topts.ranks = cfg.p;
-    topts.drop_rate = args.get_double("transport-drop", 0.0);
-    topts.drop_seed = static_cast<std::uint64_t>(args.get_int("transport-drop-seed", 1));
-    CANB_REQUIRE(*kind == vmpi::TransportKind::Socket ||
-                     (!args.has("transport-groups") && !args.has("transport-group") &&
-                      !args.has("transport-dir") && !args.has("transport-drop") &&
-                      !args.has("transport-exec")),
-                 "--transport-groups/-group/-dir/-drop/-exec need --transport=socket");
-    CANB_REQUIRE(topts.drop_rate >= 0.0 && topts.drop_rate < 1.0,
-                 "--transport-drop must be in [0, 1) (1 would never deliver)");
-    {
-      const std::string ename = args.get("transport-exec", "owner");
-      const auto exec = vmpi::parse_exec_mode(ename);
-      CANB_REQUIRE(exec.has_value(), "unknown --transport-exec (owner | lockstep): " + ename);
-      cfg.exec = *exec;
-    }
-    if (*kind == vmpi::TransportKind::Socket) {
-      topts.groups = static_cast<int>(args.get_int("transport-groups", 2));
-      CANB_REQUIRE(topts.groups >= 1 && topts.groups <= cfg.p,
-                   "--transport-groups must be in [1, p]");
+    CANB_REQUIRE(kind.has_value(), "unknown --transport (modeled | socket): " + tname);
+    const bool socket = *kind == vmpi::TransportKind::Socket;
+    CANB_REQUIRE(socket || (!args.has("transport-groups") && !args.has("transport-group") &&
+                            !args.has("transport-dir") && !args.has("transport-drop")),
+                 "--transport-groups/-group/-dir/-drop need --transport=socket");
+    if (socket) {
+      CANB_REQUIRE(sim::runs_over_transport(cfg.method),
+                   std::string("--transport=socket runs only ca-all-pairs and ca-cutoff, not ") +
+                       sim::method_name(cfg.method));
+      vmpi::SocketConfig& sc = plan.socket.emplace();
+      sc.ranks = cfg.p;
+      sc.drop_rate = args.get_double("transport-drop", 0.0);
+      sc.drop_seed = static_cast<std::uint64_t>(args.get_int("transport-drop-seed", 1));
+      CANB_REQUIRE(sc.drop_rate >= 0.0 && sc.drop_rate < 1.0,
+                   "--transport-drop must be in [0, 1) (1 would never deliver)");
+      sc.groups = static_cast<int>(args.get_int("transport-groups", 2));
+      CANB_REQUIRE(sc.groups >= 1 && sc.groups <= cfg.p, "--transport-groups must be in [1, p]");
+      sc.dir = args.get("transport-dir", "");
       if (args.has("transport-group")) {
         // Externally launched: the caller starts one process per group and
         // points them all at the same rendezvous directory.
-        topts.group = static_cast<int>(args.get_int("transport-group", 0));
-        CANB_REQUIRE(topts.group >= 0 && topts.group < topts.groups,
+        sc.group = static_cast<int>(args.get_int("transport-group", 0));
+        CANB_REQUIRE(sc.group >= 0 && sc.group < sc.groups,
                      "--transport-group must be in [0, transport-groups)");
         CANB_REQUIRE(args.has("transport-dir"),
                      "--transport-group needs --transport-dir (shared rendezvous)");
-        topts.dir = args.get("transport-dir", "");
       } else {
-        topts.dir = args.get("transport-dir", "");
         plan.fork_groups = true;
       }
     }
@@ -371,25 +356,28 @@ int run(const CliArgs& args, RunPlan plan) {
   std::unique_ptr<vmpi::ProcessGroup> launch;
   std::string owned_rendezvous_dir;
   if (plan.fork_groups) {
-    if (plan.topts.dir.empty()) {
+    if (plan.socket->dir.empty()) {
       owned_rendezvous_dir = vmpi::make_rendezvous_dir();
-      plan.topts.dir = owned_rendezvous_dir;
+      plan.socket->dir = owned_rendezvous_dir;
     }
-    launch = std::make_unique<vmpi::ProcessGroup>(plan.topts.groups);
-    plan.topts.group = launch->group();
+    launch = std::make_unique<vmpi::ProcessGroup>(plan.socket->groups);
+    plan.socket->group = launch->group();
   }
-  const bool primary = plan.topts.group == 0;
-  // Modeled yields no endpoint by design: the default arm moves bytes
-  // in-process already and attaching nothing keeps it allocation-free.
-  cfg.transport = vmpi::make_transport(plan.topts);
+  const bool primary = !plan.socket || plan.socket->group == 0;
+  // Modeled attaches no endpoint: the default arm moves bytes in-process
+  // already and attaching nothing keeps it allocation-free.
+  if (plan.socket) cfg.transport = std::make_shared<vmpi::SocketTransport>(*plan.socket);
   if (primary && plan.restarted)
     std::cout << "restarted from step " << step0 << " (" << plan.initial.size()
               << " particles)\n";
 
   // Held by pointer so the endpoint can be torn down (flush + barrier +
   // close, in ~Transport) explicitly before forked children are reaped —
-  // plain destructor order would reap first and deadlock the barrier.
+  // plain destructor order would reap first and deadlock the barrier. The
+  // simulation keeps the only reference, so an error unwinding this
+  // function also drops the endpoint before `launch` reaps the children.
   auto simulation_ptr = std::make_unique<Sim>(cfg, std::move(plan.initial));
+  cfg.transport.reset();
   Sim& simulation = *simulation_ptr;
   if (const auto& tuned = simulation.tuned(); primary && tuned.has_value()) {
     std::cout << "host tuner: simd=" << particles::simd::backend_name(particles::simd::active())
@@ -569,7 +557,6 @@ int run(const CliArgs& args, RunPlan plan) {
   // last references runs the endpoint's flush + close-barrier. Only then
   // may the parent reap its children (which exit after the same teardown).
   simulation_ptr.reset();
-  cfg.transport.reset();
   if (launch != nullptr) {
     const int child_status = launch->wait_children();
     if (launch->primary()) {
@@ -608,5 +595,12 @@ int main(int argc, char** argv) {
   } catch (const std::out_of_range& e) {
     return usage_error(e.what());
   }
-  return run(*args, std::move(plan));
+  // A socket peer that dies mid-run ends this process with one line, not a
+  // hang or std::terminate.
+  try {
+    return run(*args, std::move(plan));
+  } catch (const vmpi::TransportError& e) {
+    std::cerr << "run_simulation: " << e.what() << "\n";
+    return 1;
+  }
 }

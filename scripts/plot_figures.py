@@ -11,10 +11,9 @@ style of the paper's Figures 2 and 6: execution time per timestep broken
 into Computation / Broadcast / Skew / Shift / Reduce / Re-assign, one bar
 per replication factor.
 
-BENCH_*.json files in the directory are also summarized. Both schemas are
-understood: the legacy hand-rolled v1 layout ({"results": [...]}) and the
-versioned v2 layout written by obs::BenchJsonWriter ({"schema_version": 2,
-"manifest": {...}, "rows": [...]}).
+BENCH_*.json files in the directory are also summarized. They are the
+versioned layout written by obs::BenchJsonWriter ({"schema_version": N,
+"manifest": {...}, "rows": [...]}, N >= 2).
 """
 import csv
 import json
@@ -67,23 +66,20 @@ def plot_panel(csv_path: Path, out_dir: Path) -> None:
 
 
 def load_bench(path: Path):
-    """Loads a bench JSON file, normalizing v1 and v2 schemas.
+    """Loads a bench JSON file written by obs::BenchJsonWriter.
 
     Returns (meta, rows): meta has "bench", "unit", "schema_version", and
-    "manifest" keys (manifest is {} for v1 files, which predate it); rows
-    is the flat list of result dicts from "rows" (v2) or "results" (v1).
+    "manifest" keys; rows is the flat list of result dicts.
     """
     with open(path) as f:
         doc = json.load(f)
-    version = int(doc.get("schema_version", 1))
     meta = {
         "bench": doc.get("bench", path.stem),
         "unit": doc.get("unit", ""),
-        "schema_version": version,
-        "manifest": doc.get("manifest", {}) if version >= 2 else {},
+        "schema_version": doc["schema_version"],
+        "manifest": doc.get("manifest", {}),
     }
-    rows = doc.get("rows" if version >= 2 else "results", [])
-    return meta, rows
+    return meta, doc.get("rows", [])
 
 
 def summarize_bench(path: Path) -> None:

@@ -10,8 +10,8 @@
 # force sweeps, reduce, integrate, re-assign) for the cutoff and all-pairs
 # configurations at 1/4 host threads, and records host steps/sec per case
 # plus the host's core count and CPU model. It also runs the socket-mesh
-# arm first (back-to-back lockstep vs owner-computes over forked process
-# groups {2,4}; pass --socket-steps=0 to skip it).
+# arm first (owner-computes over forked process groups {2,4}; pass
+# --socket-steps=0 to skip it).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -21,7 +21,7 @@
 // reduce_teams) and reassign_spatial's exchange_lists — nothing here
 // talks to a fabric directly. Attaching a real transport to the
 // VirtualComm (vmpi/transport.hpp, docs/TRANSPORT.md) therefore carries
-// this engine's payloads over shmem or sockets with zero changes to the
+// this engine's payloads over sockets with zero changes to the
 // schedule below: the transport arms live inside those primitives, and
 // trajectories/ledgers/traces stay bitwise identical to the modeled run
 // (tests/test_transport_parity.cpp pins this).

@@ -207,7 +207,7 @@ bool split_teams(const vmpi::VirtualComm& vc, const vmpi::Grid2d& grid,
 /// model charges from. One message per ordered group pair on a reserved
 /// out-of-band tag — the exchange itself charges nothing; the virtual cost
 /// of the list shipment is paid by exchange_lists' replicated permute_step,
-/// exactly as in lockstep. Returns the global `any`.
+/// exactly as in a single-process run. Returns the global `any`.
 template <class Policy>
 bool exchange_migration_counts(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid,
                                const CutoffGeometry& geom,

@@ -242,9 +242,8 @@ void Telemetry::finalize(const vmpi::VirtualComm& vc) {
   // Sweep counters are process-local truths: they document the pairs THIS
   // process actually swept. Under owner-computes each group sweeps only its
   // owned ranks, so the group-labeled series are partial sums whose total
-  // across groups equals one lockstep process's count (pinned by
-  // tests/test_owner_computes.cpp); under lockstep every group honestly
-  // reports the full count it redundantly executed.
+  // across groups equals a single-process run's count (pinned by
+  // tests/test_owner_computes.cpp).
   if (sweep_calls > 0.0) {
     registry_
         .counter("canb_sweep_pairs_total", with_group({}),

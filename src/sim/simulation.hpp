@@ -49,6 +49,12 @@ enum class Method {
 
 const char* method_name(Method m) noexcept;
 
+/// Whether `m` can run over a transport: only the CA engines carry the
+/// residency gates that owner-computes needs.
+constexpr bool runs_over_transport(Method m) noexcept {
+  return m == Method::CaAllPairs || m == Method::CaCutoff;
+}
+
 /// Host autotuning mode (core/host_tuner.hpp).
 enum class TuneMode {
   Off,    ///< apply Config::sched / steal_grain and the SIMD dispatch as given
@@ -122,27 +128,25 @@ class Simulation {
     obs::ObsLevel obs = obs::ObsLevel::Off;
     /// Host data plane (vmpi/buffer_pool.hpp): pooled staging buffers,
     /// lane-subset copies, and parallel broadcast/reduce data movement.
-    /// Host execution only — ledgers, traces, and trajectories are bitwise
-    /// identical with it on or off (tested); off selects the legacy
-    /// serial/allocating host path.
+    /// Leave it on. Off selects the legacy serial/allocating host path,
+    /// which the tests keep as their reference: tests/test_data_plane.cpp
+    /// pins ledgers, traces, and trajectories bitwise equal on both.
     bool pooled_data_plane = true;
     /// Real byte transport beneath the vmpi primitives (vmpi/transport.hpp).
     /// Null (the default) is the modeled arm: costs only, no fabric. When
     /// set, every message is serialized through the transport and receivers
     /// adopt the wire bytes — trajectories, ledgers, and traces stay
     /// bitwise identical to the modeled arm (tests/test_transport_parity).
-    /// Shared (not unique) so multi-endpoint harnesses can hold the
-    /// endpoint while the Simulation uses it.
+    /// CA methods only: they carry the owner-computes residency gates. A
+    /// transport spanning more than one group runs owner-computes: each
+    /// process runs force sweeps, reassign splits, and data-plane copies
+    /// only for its owned ranks, while the virtual cost plane stays fully
+    /// replicated. Shared (not unique) so multi-endpoint harnesses can hold
+    /// the endpoint while the Simulation uses it.
     std::shared_ptr<vmpi::Transport> transport;
-    /// Execution mode on a multi-group transport (vmpi/transport.hpp).
-    /// OwnerComputes (the default) makes each process run force sweeps,
-    /// reassign splits, and data-plane copies only for its owned ranks —
-    /// the virtual cost plane stays fully replicated, so ledgers, clocks,
-    /// traces, and gathered trajectories are bitwise identical to the
-    /// modeled arm. Effective only for the CA methods with a transport
-    /// spanning more than one group; everything else silently runs
-    /// lockstep (full SPMD replication, the PR 8 behavior).
-    vmpi::ExecMode exec = vmpi::ExecMode::OwnerComputes;
+    /// A constant, not a setting (see `transport`); kept because the
+    /// repository benchmark reads it.
+    static constexpr vmpi::ExecMode exec = vmpi::ExecMode::OwnerComputes;
     /// Live scrape endpoint (obs/serve.hpp): when >= 0, an HTTP server
     /// binds 127.0.0.1:<port> (0 = ephemeral) and serves /metrics,
     /// /healthz, /spans.csv, /trace.json refreshed every step. On a
@@ -176,12 +180,12 @@ class Simulation {
       comm().set_fault(fault_model_.get());
     }
     if (cfg_.transport) {
+      CANB_REQUIRE(runs_over_transport(cfg_.method),
+                   std::string("a transport carries only the CA methods (ca-all-pairs, "
+                               "ca-cutoff), not ") +
+                       method_name(cfg_.method));
       comm().set_transport(cfg_.transport.get());
-      // Owner-computes needs the engine-side residency gates, which only
-      // the CA engines implement; other methods stay lockstep-replicated.
-      owner_computes_ = cfg_.exec == vmpi::ExecMode::OwnerComputes &&
-                        cfg_.transport->groups() > 1 &&
-                        (cfg_.method == Method::CaAllPairs || cfg_.method == Method::CaCutoff);
+      owner_computes_ = cfg_.transport->groups() > 1;
       if (owner_computes_) comm().set_owner_computes(true);
     }
     if (cfg_.obs != obs::ObsLevel::Off) {
@@ -342,8 +346,8 @@ class Simulation {
     return all;
   }
 
-  /// The effective execution mode: OwnerComputes only when enabled AND
-  /// active (CA method, multi-group transport); Lockstep otherwise.
+  /// The execution mode in effect: OwnerComputes on a multi-group
+  /// transport; Lockstep (one endpoint, every rank local) otherwise.
   vmpi::ExecMode exec_mode() const noexcept {
     return owner_computes_ ? vmpi::ExecMode::OwnerComputes : vmpi::ExecMode::Lockstep;
   }
@@ -653,8 +657,8 @@ class Simulation {
   std::unique_ptr<obs::MeshAggregator> mesh_;
   std::unique_ptr<obs::StepSeries> series_;
   bool build_info_published_ = false;
-  /// Whether owner-computes is ACTIVE (configured + CA method + multi-group
-  /// transport); see exec_mode().
+  /// Whether owner-computes is active (a multi-group transport); see
+  /// exec_mode().
   bool owner_computes_ = false;
   /// Declared last: the serving thread reads only content it was handed,
   /// but tearing it down first on destruction keeps the shutdown ordering

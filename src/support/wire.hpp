@@ -38,8 +38,9 @@ class Writer {
 
   void raw(const void* p, std::size_t n) {
     if (n == 0) return;
-    const auto* b = static_cast<const std::byte*>(p);
-    out_->insert(out_->end(), b, b + n);
+    const std::size_t at = out_->size();
+    out_->resize(at + n);
+    std::memcpy(out_->data() + at, p, n);
   }
 
   template <class T>
@@ -105,9 +106,9 @@ concept HasMemberWire = requires(const B& cb, Writer& w, B& b, Reader& r) {
 };
 
 /// True when B can cross a byte transport losslessly. Payload types that
-/// are neither (engine-private structs that never met a wire) make the
-/// primitives fall back to the in-process data move; under the replicated
-/// SPMD socket arm that fallback is still correct, just not wire-exercised.
+/// are neither (the baselines' engine-private structs) make the primitives
+/// fall back to the in-process data move; they never cross a process
+/// boundary, because a transport carries only the CA methods.
 template <class B>
 constexpr bool serializable = HasMemberWire<B> || std::is_trivially_copyable_v<B>;
 

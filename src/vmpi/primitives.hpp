@@ -36,9 +36,9 @@
 // *adopts* the fabric's bytes, so a transport bug corrupts trajectories
 // and fails the parity suite instead of hiding behind the host copy. The
 // charge still precedes everything, so ledgers/clocks/traces are bitwise
-// unchanged. Payload types without wire support (engine-private structs)
-// silently keep the host-only move, which under the SPMD-replicated socket
-// arm is still correct — just not wire-exercised. The transport arms are
+// unchanged. Payload types without wire support (the baselines'
+// engine-private structs) keep the host-only move; they never meet a
+// transport, which carries only the CA methods. The transport arms are
 // exempt from the zero-allocation contract (serialization buffers).
 #pragma once
 
@@ -141,8 +141,8 @@ class HostPhaseTimer {
 };
 
 /// Routes one permutation round through an attached transport. Sends are
-/// serialized from the pre-move buffers, the host move runs (it doubles as
-/// the replicated fallback for ranks this endpoint does not own), then
+/// serialized from the pre-move buffers, the host move runs (it carries
+/// the cost-correct sizes of ranks this endpoint does not own), then
 /// every locally-owned destination adopts the bytes that crossed the
 /// fabric. Falls through to a plain host move when no transport is
 /// attached or the payload has no wire support.
@@ -174,9 +174,11 @@ void permute_with_transport(VirtualComm& vc, SrcFn&& src_of, std::vector<B>& buf
 }
 
 /// Transport arm of broadcast_teams: each locally-owned leader serializes
-/// once and sends to every team member; after the host copy, every
-/// locally-owned non-leader adopts the wire bytes (full-copy install, the
-/// legacy broadcast semantics).
+/// once and sends to every team member; every locally-owned non-leader
+/// adopts the wire bytes (full-copy install, the legacy broadcast
+/// semantics), so no host copy runs. Under owner-computes a non-leader
+/// another group owns only needs its size kept in step for the cost model:
+/// it gets a phantom install.
 template <class B, class CopyFn>
 void broadcast_with_transport(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs,
                               CopyFn&& host_copy) {
@@ -190,19 +192,12 @@ void broadcast_with_transport(VirtualComm& vc, const Grid2d& g, std::vector<B>& 
         wire::to_bytes(bufs[static_cast<std::size_t>(leader)], bytes);
         for (int row = 1; row < g.rows(); ++row) t->send(leader, g.rank(row, col), tag, bytes);
       }
-      if (vc.owner_computes()) {
-        // Resident destinations are installed by the wire adoption below;
-        // non-resident ones only need their size kept in step for the cost
-        // model, so the replicated host copy is replaced by phantom installs.
-        for (int col = 0; col < g.cols(); ++col) {
-          const auto& src = bufs[static_cast<std::size_t>(g.leader(col))];
-          for (int row = 1; row < g.rows(); ++row) {
-            const int dst = g.rank(row, col);
-            if (!vc.resident(dst)) phantom_assign(bufs[static_cast<std::size_t>(dst)], src);
-          }
+      for (int col = 0; col < g.cols(); ++col) {
+        const auto& src = bufs[static_cast<std::size_t>(g.leader(col))];
+        for (int row = 1; row < g.rows(); ++row) {
+          const int dst = g.rank(row, col);
+          if (!vc.resident(dst)) phantom_assign(bufs[static_cast<std::size_t>(dst)], src);
         }
-      } else {
-        host_copy();
       }
       for (int col = 0; col < g.cols(); ++col) {
         const int leader = g.leader(col);
@@ -222,8 +217,9 @@ void broadcast_with_transport(VirtualComm& vc, const Grid2d& g, std::vector<B>& 
 /// Transport arm of reduce_teams. Every locally-owned member ships its
 /// buffer to the leader; a locally-owned leader folds the *deserialized*
 /// member blocks in strict row order (the same serial order as the host
-/// fold — float addition does not associate), a remote leader's slot folds
-/// the replicated local copies. Returns false (caller runs the host fold)
+/// fold — float addition does not associate). A remote leader's slot is
+/// left alone: under owner-computes its lanes are stale by contract, and
+/// combine never changes sizes. Returns false (caller runs the host fold)
 /// when no transport is attached or the payload has no wire support.
 template <class B, class Combine>
 bool reduce_with_transport(VirtualComm& vc, const Grid2d& g, std::vector<B>& bufs,
@@ -244,19 +240,13 @@ bool reduce_with_transport(VirtualComm& vc, const Grid2d& g, std::vector<B>& buf
       B incoming{};
       for (int col = 0; col < g.cols(); ++col) {
         const int leader = g.leader(col);
+        if (!t->local(leader)) continue;
         auto& acc = bufs[static_cast<std::size_t>(leader)];
         for (int row = 1; row < g.rows(); ++row) {
           const int m = g.rank(row, col);
-          if (t->local(leader)) {
-            t->recv(m, leader, tag, bytes);
-            wire::from_bytes(incoming, bytes);
-            combine(acc, incoming);
-          } else if (!vc.owner_computes()) {
-            // Lockstep keeps the replicated fold so every process holds the
-            // full state; owner-computes skips it — a non-resident leader's
-            // lanes are stale by contract, and combine never changes sizes.
-            combine(acc, bufs[static_cast<std::size_t>(m)]);
-          }
+          t->recv(m, leader, tag, bytes);
+          wire::from_bytes(incoming, bytes);
+          combine(acc, incoming);
         }
       }
       return true;

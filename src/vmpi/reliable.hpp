@@ -62,6 +62,12 @@ std::span<const std::byte> frame_payload(std::span<const std::byte> body);
 /// Number of bytes in the fixed header *after* the u64 length prefix.
 inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4 + 8 + 8;
 
+/// Largest frame body a reader accepts, checked before it allocates: a
+/// length prefix outside [kFrameHeaderBytes, kMaxFrameBodyBytes] is a
+/// corrupt or hostile stream, not a frame. 1 GiB is far above anything the
+/// library sends (a team block of 10^6 particles serializes to ~50 MB).
+inline constexpr std::uint64_t kMaxFrameBodyBytes = std::uint64_t{1} << 30;
+
 struct ReliableConfig {
   double rto = 0.05;      ///< initial retransmit timeout, seconds
   double backoff = 2.0;   ///< timeout multiplier per expiry (PerturbationModel::backoff)

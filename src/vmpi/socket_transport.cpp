@@ -2,14 +2,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <map>
-#include <mutex>
-#include <utility>
+#include <exception>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -18,6 +15,7 @@
 #include <unistd.h>
 
 #include "support/assert.hpp"
+#include "vmpi/buffer_pool.hpp"
 
 namespace canb::vmpi {
 
@@ -66,8 +64,23 @@ std::string group_path(const std::string& dir, int g) {
   return dir + "/g" + std::to_string(g) + ".sock";
 }
 
+std::string flow_name(int src, int dst, std::uint64_t tag) {
+  return "(src " + std::to_string(src) + ", dst " + std::to_string(dst) + ", tag " +
+         std::to_string(tag) + ")";
+}
+
 constexpr double kSetupTimeoutSeconds = 30.0;
 constexpr double kFlushTimeoutSeconds = 30.0;
+
+/// Whether a frame length prefix names a body the reader may allocate.
+bool frame_length_ok(std::uint64_t body_len) noexcept {
+  return body_len >= kFrameHeaderBytes && body_len <= kMaxFrameBodyBytes;
+}
+
+std::string frame_length_error(std::uint64_t body_len) {
+  return "frame length " + std::to_string(body_len) + " outside [" +
+         std::to_string(kFrameHeaderBytes) + ", " + std::to_string(kMaxFrameBodyBytes) + "]";
+}
 
 }  // namespace
 
@@ -87,14 +100,17 @@ struct SocketTransport::Peer {
   int fd = -1;
   std::thread reader;
   // io_mu guards the fd write side, the sender's retransmit state, the
-  // egress scratch buffer, and the drop RNG. The receiver is touched only
-  // by the reader thread and needs no lock.
+  // egress scratch buffer, the drop RNG, and `why`. The receiver is
+  // touched only by the reader thread and needs no lock.
   std::mutex io_mu;
   ReliableSender sender;
   ReliableReceiver receiver;
   Xoshiro256 drop_rng;
   wire::Bytes egress_scratch;
-  bool write_failed = false;
+  /// False once the connection has ended (set once, under io_mu, after
+  /// every frame the reader received has been posted); `why` says how.
+  std::atomic<bool> alive{true};
+  std::string why;
 
   Peer(const ReliableConfig& rc, std::uint64_t drop_seed)
       : sender(rc), drop_rng(drop_seed) {}
@@ -123,10 +139,25 @@ SocketTransport::SocketTransport(const SocketConfig& cfg)
 
   if (cfg_.groups == 1) return;  // degenerate single-process mesh
 
+  int lfd = -1;
+  try {
+    rendezvous(lfd);
+  } catch (...) {
+    // No destructor runs for a half-built endpoint: release what exists.
+    if (lfd >= 0) {
+      ::close(lfd);
+      ::unlink(listen_path_.c_str());
+    }
+    close_peers();
+    throw;
+  }
+}
+
+void SocketTransport::rendezvous(int& lfd) {
   // 1. Listen on our own rendezvous path.
   listen_path_ = group_path(cfg_.dir, cfg_.group);
   ::unlink(listen_path_.c_str());
-  const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   CANB_REQUIRE(lfd >= 0, "socket() failed");
   sockaddr_un addr = make_addr(listen_path_);
   CANB_REQUIRE(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
@@ -154,8 +185,9 @@ SocketTransport::SocketTransport(const SocketConfig& cfg)
       sockaddr_un peer_addr = make_addr(path);
       if (::connect(fd, reinterpret_cast<sockaddr*>(&peer_addr), sizeof peer_addr) == 0) break;
       ::close(fd);
-      CANB_REQUIRE(std::chrono::steady_clock::now() < deadline,
-                   "rendezvous timed out dialing " + path);
+      if (std::chrono::steady_clock::now() >= deadline)
+        throw TransportError("socket transport: group " + std::to_string(cfg_.group) +
+                             " rendezvous timed out dialing " + path);
       ::usleep(5'000);
     }
     Frame hello;
@@ -176,14 +208,21 @@ SocketTransport::SocketTransport(const SocketConfig& cfg)
     for (;;) {
       const int pr = ::poll(&pfd, 1, 100);
       if (pr > 0) break;
-      CANB_REQUIRE(std::chrono::steady_clock::now() < deadline,
-                   "rendezvous timed out accepting on " + listen_path_);
+      if (std::chrono::steady_clock::now() >= deadline)
+        throw TransportError("socket transport: group " + std::to_string(cfg_.group) +
+                             " rendezvous timed out accepting on " + listen_path_);
     }
     const int fd = ::accept(lfd, nullptr, nullptr);
     CANB_REQUIRE(fd >= 0, "accept failed on " + listen_path_);
     std::uint64_t body_len = 0;
     CANB_REQUIRE(read_exact(fd, reinterpret_cast<std::byte*>(&body_len), sizeof body_len),
                  "hello length read failed");
+    if (!frame_length_ok(body_len)) {
+      ::close(fd);
+      throw TransportError("socket transport: group " + std::to_string(cfg_.group) +
+                           " rendezvous on " + listen_path_ + ": hello " +
+                           frame_length_error(body_len));
+    }
     wire::Bytes body(body_len);
     CANB_REQUIRE(read_exact(fd, body.data(), body.size()), "hello body read failed");
     const Frame hello = decode_frame_body(body);
@@ -197,6 +236,7 @@ SocketTransport::SocketTransport(const SocketConfig& cfg)
     peers_[static_cast<std::size_t>(g)] = std::move(p);
   }
   ::close(lfd);
+  lfd = -1;
   ::unlink(listen_path_.c_str());  // everyone dials exactly once, during setup
 
   // 4. Drain each connection on its own thread, then prove the mesh.
@@ -207,20 +247,37 @@ SocketTransport::SocketTransport(const SocketConfig& cfg)
 }
 
 SocketTransport::~SocketTransport() {
-  if (cfg_.groups > 1) {
-    flush_peers();  // wait until every sequenced frame we sent is acked
-    barrier();      // nobody closes before everyone has flushed
-    flush_peers();  // the barrier release itself is droppable: hold the fd
-                    // open until its (re)transmission is acked, or the peer
-                    // would retransmit into a closed socket
-    closing_.store(true, std::memory_order_relaxed);
-    for (auto& p : peers_) {
-      if (p && p->fd >= 0) ::shutdown(p->fd, SHUT_RDWR);
+  if (cfg_.groups == 1) return;
+  closing_.store(true, std::memory_order_relaxed);
+  // An orderly close hands over every unacked frame and meets every peer
+  // at a barrier. With a peer gone, or an exception unwinding this
+  // endpoint, nothing is left to hand over: close at once, so the peers
+  // see the connection end and fail instead of waiting at a barrier this
+  // endpoint never reaches.
+  if (std::uncaught_exceptions() == 0 && peers_alive()) {
+    try {
+      flush_peers();  // wait until every sequenced frame we sent is acked
+      barrier();      // nobody closes before everyone has flushed
+      flush_peers();  // the barrier release itself is droppable: hold the fd
+                      // open until its (re)transmission is acked, or the peer
+                      // would retransmit into a closed socket
+    } catch (const TransportError& e) {
+      // A peer died during the close handshake: report it and close; the
+      // parent learns the peer's fate from its exit status.
+      std::fprintf(stderr, "canb: %s\n", e.what());
     }
-    for (auto& p : peers_) {
-      if (p && p->reader.joinable()) p->reader.join();
-      if (p && p->fd >= 0) ::close(p->fd);
-    }
+  }
+  close_peers();
+}
+
+void SocketTransport::close_peers() noexcept {
+  for (auto& p : peers_) {
+    if (p && p->fd >= 0) ::shutdown(p->fd, SHUT_RDWR);
+  }
+  for (auto& p : peers_) {
+    if (p && p->reader.joinable()) p->reader.join();
+    if (p && p->fd >= 0) ::close(p->fd);
+    if (p) p->fd = -1;
   }
 }
 
@@ -256,28 +313,55 @@ void SocketTransport::post_local(int src, int dst, std::uint64_t tag, wire::Byte
 }
 
 void SocketTransport::egress_locked(Peer& p, const Frame& f) {
+  if (!p.alive.load(std::memory_order_relaxed)) return;  // nobody to write to
   const bool sequenced = f.kind == FrameKind::Data || f.kind == FrameKind::Barrier;
   if (sequenced && cfg_.drop_rate > 0 && p.drop_rng.uniform() < cfg_.drop_rate) {
     return;  // injected loss; the reliable layer will retransmit
   }
   encode_frame(f, p.egress_scratch);
   if (!write_all(p.fd, p.egress_scratch.data(), p.egress_scratch.size())) {
-    p.write_failed = true;
-    // A dead peer is fatal only for frames the protocol still needs to
-    // deliver. Two writes race benignly with the peer's teardown:
-    //  * Acks — a peer that closed its end has flushed (everything it
-    //    sent is acked) and needs no further acks; a late duplicate of
-    //    ours reaches it mid-close and its re-ack finds a shut socket.
-    //  * Barrier (re)writes — a peer can only close after passing the
-    //    destructor barrier, which required delivering every sequenced
-    //    frame we sent it, this one included. Only its ack was lost to
-    //    the shutdown race, so the retransmit had nothing left to
-    //    deliver (its write_failed mark lets flush_peers() return).
-    // Data frames keep the hard assert: a peer never legitimately closes
-    // while our data is unacked — the destructor flushes before closing.
-    CANB_ASSERT_MSG(f.kind != FrameKind::Data || closing_.load(std::memory_order_relaxed),
-                    "socket transport write failed mid-run");
+    // The peer closed its end. During our teardown that is its orderly
+    // close racing our last acks or barrier re-sends: a peer closes only
+    // after passing the close barrier, which delivered every sequenced
+    // frame we sent it, so the retransmit had nothing left to deliver.
+    // Mid-run it means the peer died; lose_peer_locked records which.
+    lose_peer_locked(p, std::string("write failed: ") + std::strerror(errno));
   }
+}
+
+void SocketTransport::lose_peer_locked(Peer& p, std::string why) {
+  if (!p.alive.load(std::memory_order_relaxed)) return;
+  p.why = closing_.load(std::memory_order_relaxed) ? "closed" : std::move(why);
+  p.alive.store(false, std::memory_order_release);
+}
+
+void SocketTransport::lose_peer(Peer& p, std::string why) {
+  std::lock_guard<std::mutex> lk(p.io_mu);
+  lose_peer_locked(p, std::move(why));
+}
+
+void SocketTransport::throw_lost(Peer& p, const std::string& flow) {
+  std::string why;
+  {
+    std::lock_guard<std::mutex> lk(p.io_mu);
+    why = p.why;
+  }
+  throw TransportError("socket transport: group " + std::to_string(cfg_.group) +
+                       " lost peer group " + std::to_string(p.group) + " (" + why + ") " +
+                       flow);
+}
+
+bool SocketTransport::send_sequenced(Peer& p, Frame f) {
+  std::lock_guard<std::mutex> lk(p.io_mu);
+  p.sender.send(std::move(f), now(), [&](const Frame& out) { egress_locked(p, out); });
+  return p.alive.load(std::memory_order_relaxed);
+}
+
+bool SocketTransport::peers_alive() const {
+  for (const auto& p : peers_) {
+    if (p && !p->alive.load(std::memory_order_acquire)) return false;
+  }
+  return true;
 }
 
 void SocketTransport::send(int src, int dst, std::uint64_t tag,
@@ -308,13 +392,13 @@ void SocketTransport::send(int src, int dst, std::uint64_t tag,
   f.dst = static_cast<std::uint32_t>(dst);
   f.tag = tag;
   f.payload.assign(payload.begin(), payload.end());
-  std::lock_guard<std::mutex> lk(p->io_mu);
-  p->sender.send(std::move(f), now(), [&](const Frame& out) { egress_locked(*p, out); });
+  if (!send_sequenced(*p, std::move(f))) throw_lost(*p, "sending flow " + flow_name(src, dst, tag));
 }
 
 void SocketTransport::pump_peer(Peer& p) {
   const double t = now();
   std::lock_guard<std::mutex> lk(p.io_mu);
+  if (!p.alive.load(std::memory_order_relaxed)) return;  // nobody to re-send to
   const std::uint64_t before = p.sender.stats().retransmits;
   p.sender.poll(t, [&](const Frame& out) { egress_locked(p, out); });
   const std::uint64_t later = p.sender.stats().retransmits;
@@ -336,8 +420,13 @@ void SocketTransport::recv(int src, int dst, std::uint64_t tag, wire::Bytes& out
   Mailbox& box = *boxes_[static_cast<std::size_t>(dst)];
   const Mailbox::FlowKey key{static_cast<std::uint64_t>(src), tag};
   const auto poll_interval = std::chrono::duration<double>(cfg_.recv_poll_seconds);
+  Peer* from = local(src) ? nullptr : peers_[static_cast<std::size_t>(group_of(src))].get();
   std::unique_lock<std::mutex> lk(box.mu);
   for (;;) {
+    // Read the peer state before the queue: the reader posts every frame
+    // it received before marking the peer gone, so a gone peer with an
+    // empty queue will never deliver this flow.
+    const bool gone = from != nullptr && !from->alive.load(std::memory_order_acquire);
     auto it = box.flows.find(key);
     if (it != box.flows.end() && !it->second.empty()) {
       wire::Bytes frame = std::move(it->second.front());
@@ -346,6 +435,10 @@ void SocketTransport::recv(int src, int dst, std::uint64_t tag, wire::Bytes& out
       out.swap(frame);
       box.pool.release(std::move(frame));
       return;
+    }
+    if (gone) {
+      lk.unlock();
+      throw_lost(*from, "receiving flow " + flow_name(src, dst, tag));
     }
     if (box.cv.wait_for(lk, poll_interval) == std::cv_status::timeout) {
       lk.unlock();
@@ -373,12 +466,15 @@ void SocketTransport::reader_loop(Peer& p) {
     }
     if (pr < 0) {
       if (errno == EINTR) continue;
-      return;
+      return lose_peer(p, std::string("poll failed: ") + std::strerror(errno));
     }
     std::uint64_t body_len = 0;
-    if (!read_exact(p.fd, reinterpret_cast<std::byte*>(&body_len), sizeof body_len)) return;
+    if (!read_exact(p.fd, reinterpret_cast<std::byte*>(&body_len), sizeof body_len))
+      return lose_peer(p, "connection closed");
+    if (!frame_length_ok(body_len)) return lose_peer(p, frame_length_error(body_len));
     body.resize(body_len);
-    if (!read_exact(p.fd, body.data(), body.size())) return;
+    if (!read_exact(p.fd, body.data(), body.size()))
+      return lose_peer(p, "connection closed mid-frame");
     Frame f = decode_frame_header(body);
     if (f.kind == FrameKind::Data && f.dst < static_cast<std::uint32_t>(cfg_.ranks) &&
         local(static_cast<int>(f.dst))) {
@@ -440,14 +536,21 @@ void SocketTransport::note_barrier(std::uint32_t from_group, std::uint64_t epoch
 }
 
 void SocketTransport::wait_barrier(std::uint32_t from_group, std::uint64_t epoch) {
+  Peer& from = *peers_[from_group];
   std::unique_lock<std::mutex> lk(barrier_mu_);
   const auto key = std::make_pair(from_group, epoch);
   for (;;) {
+    const bool gone = !from.alive.load(std::memory_order_acquire);  // before the arrivals
     auto it = barrier_arrivals_.find(key);
     if (it != barrier_arrivals_.end() && it->second > 0) {
       it->second -= 1;
       if (it->second == 0) barrier_arrivals_.erase(it);
       return;
+    }
+    if (gone) {
+      lk.unlock();
+      throw_lost(from, "waiting for barrier epoch " + std::to_string(epoch) + " from group " +
+                           std::to_string(from_group));
     }
     if (barrier_cv_.wait_for(lk, std::chrono::duration<double>(cfg_.recv_poll_seconds)) ==
         std::cv_status::timeout) {
@@ -469,8 +572,9 @@ void SocketTransport::barrier() {
     f.src = static_cast<std::uint32_t>(cfg_.group);
     f.dst = static_cast<std::uint32_t>(to_group);
     f.tag = epoch;  // the epoch rides in the tag field
-    std::lock_guard<std::mutex> lk(p->io_mu);
-    p->sender.send(std::move(f), now(), [&](const Frame& out) { egress_locked(*p, out); });
+    if (!send_sequenced(*p, std::move(f)))
+      throw_lost(*p, "sending barrier epoch " + std::to_string(epoch) + " to group " +
+                         std::to_string(to_group));
   };
   if (cfg_.group == 0) {
     for (int g = 1; g < cfg_.groups; ++g) wait_barrier(static_cast<std::uint32_t>(g), epoch);
@@ -489,7 +593,7 @@ void SocketTransport::flush_peers() {
     for (auto& p : peers_) {
       if (!p) continue;
       std::lock_guard<std::mutex> lk(p->io_mu);
-      if (!p->sender.idle() && !p->write_failed) idle = false;
+      if (!p->sender.idle() && p->alive.load(std::memory_order_relaxed)) idle = false;
     }
     if (idle) return;
     if (std::chrono::steady_clock::now() >= deadline) {

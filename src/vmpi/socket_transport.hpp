@@ -13,25 +13,38 @@
 // Each peer connection gets a dedicated reader thread that drains the fd
 // continuously — so a send can never deadlock against a peer that is also
 // sending — feeding a ReliableReceiver whose in-order deliveries land in
-// per-destination-rank mailboxes (same shape as ShmemTransport). Acks ride
-// the same fd in the reverse direction. Retransmits are driven by the
-// orchestration thread: recv() pumps every sender's timeout wheel while it
-// waits, so a dropped frame is re-sent even when the application is blocked.
+// per-destination-rank mailboxes (one mutex and condition variable each).
+// Acks ride the same fd in the reverse direction. Retransmits are driven by
+// the orchestration thread: recv() pumps every sender's timeout wheel while
+// it waits, so a dropped frame is re-sent even when the application is
+// blocked.
 //
 // Ranks are block-partitioned across groups. Rank locality decides
 // routing: local->local sends short-circuit through the mailbox; frames
-// with a remote destination cross the wire. Under the SPMD lockstep
-// execution the primitives run (every process executes all p ranks),
-// local(dst)==false means some *other* process installs the wire bytes and
-// this process keeps its replicated copy.
+// with a remote destination cross the wire. The primitives run
+// owner-computes on a multi-group mesh: a process sends only from the
+// ranks it owns and adopts the wire bytes for them; local(dst)==false
+// means some *other* process installs those bytes.
+//
+// Failure: when a connection ends (EOF, a read or write error, or a frame
+// whose length prefix exceeds kMaxFrameBodyBytes), the reader records the
+// peer as gone. recv(), barrier() and send() then throw TransportError for
+// any flow that needs that peer, instead of waiting forever. An EOF after
+// this endpoint began its own teardown is a peer's orderly close. Teardown
+// skips the flush and close barrier when a peer is gone or an exception is
+// unwinding, so surviving peers see the connection close and fail in turn.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/types.h>
@@ -76,6 +89,7 @@ class SocketTransport final : public Transport {
   /// Two-phase rendezvous through group 0: everyone reports in, group 0
   /// releases everyone. Barrier frames are sequenced like data, so a
   /// completed barrier proves in-order receipt of everything before it.
+  /// Throws TransportError when the group it waits on is gone.
   void barrier() override;
 
   TransportStats stats() const override;
@@ -94,12 +108,19 @@ class SocketTransport final : public Transport {
   struct Mailbox;
   struct Peer;
 
+  void rendezvous(int& listen_fd);
   double now() const;
   void post_local(int src, int dst, std::uint64_t tag, wire::Bytes frame);
   void egress_locked(Peer& p, const Frame& f);  // requires p.io_mu held
+  bool send_sequenced(Peer& p, Frame f);         // false when the peer is gone
+  void lose_peer_locked(Peer& p, std::string why);  // requires p.io_mu held
+  void lose_peer(Peer& p, std::string why);
+  [[noreturn]] void throw_lost(Peer& p, const std::string& flow);
+  bool peers_alive() const;
   void pump_peer(Peer& p);
   void pump();
   void flush_peers();
+  void close_peers() noexcept;
   void reader_loop(Peer& p);
   void note_barrier(std::uint32_t from_group, std::uint64_t epoch);
   void wait_barrier(std::uint32_t from_group, std::uint64_t epoch);
@@ -117,6 +138,7 @@ class SocketTransport final : public Transport {
 
   mutable std::mutex stats_mu_;
   TransportStats stats_;
+  /// Set when teardown begins: a peer EOF from then on is an orderly close.
   std::atomic<bool> closing_{false};
 };
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "support/assert.hpp"
-#include "vmpi/socket_transport.hpp"
 
 namespace canb::vmpi {
 
@@ -20,7 +19,6 @@ std::pair<std::uint64_t, std::uint64_t> modeled_key(int src, int dst, std::uint6
 const char* transport_kind_name(TransportKind k) noexcept {
   switch (k) {
     case TransportKind::Modeled: return "modeled";
-    case TransportKind::Shmem: return "shmem";
     case TransportKind::Socket: return "socket";
   }
   return "unknown";
@@ -28,7 +26,6 @@ const char* transport_kind_name(TransportKind k) noexcept {
 
 std::optional<TransportKind> parse_transport_kind(std::string_view name) noexcept {
   if (name == "modeled") return TransportKind::Modeled;
-  if (name == "shmem") return TransportKind::Shmem;
   if (name == "socket") return TransportKind::Socket;
   return std::nullopt;
 }
@@ -39,13 +36,6 @@ const char* exec_mode_name(ExecMode m) noexcept {
     case ExecMode::OwnerComputes: return "owner_computes";
   }
   return "unknown";
-}
-
-std::optional<ExecMode> parse_exec_mode(std::string_view name) noexcept {
-  if (name == "lockstep") return ExecMode::Lockstep;
-  if (name == "owner" || name == "owner_computes" || name == "owner-computes")
-    return ExecMode::OwnerComputes;
-  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -72,83 +62,6 @@ void ModeledTransport::recv(int src, int dst, std::uint64_t tag, wire::Bytes& ou
   if (it->second.empty()) queues_.erase(it);
   stats_.frames_received += 1;
   stats_.bytes_received += out.size();
-}
-
-// ---------------------------------------------------------------------------
-// ShmemTransport
-
-ShmemTransport::ShmemTransport(int ranks) : ranks_(ranks) {
-  CANB_REQUIRE(ranks >= 1, "transport needs at least one rank");
-  boxes_.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) boxes_.push_back(std::make_unique<Mailbox>());
-}
-
-void ShmemTransport::send(int src, int dst, std::uint64_t tag,
-                          std::span<const std::byte> payload) {
-  CANB_ASSERT(0 <= src && src < ranks_ && 0 <= dst && dst < ranks_);
-  Mailbox& box = *boxes_[static_cast<std::size_t>(dst)];
-  {
-    std::lock_guard<std::mutex> lk(box.mu);
-    wire::Bytes frame = box.pool.acquire();
-    frame.assign(payload.begin(), payload.end());
-    box.flows[{static_cast<std::uint64_t>(src), tag}].push_back(std::move(frame));
-  }
-  box.cv.notify_all();
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.frames_sent += 1;
-    stats_.bytes_sent += payload.size();
-    stats_.frames_received += 1;  // delivery into the mailbox is receipt
-    stats_.bytes_received += payload.size();
-  }
-}
-
-void ShmemTransport::recv(int src, int dst, std::uint64_t tag, wire::Bytes& out) {
-  CANB_ASSERT(0 <= src && src < ranks_ && 0 <= dst && dst < ranks_);
-  Mailbox& box = *boxes_[static_cast<std::size_t>(dst)];
-  const FlowKey key{static_cast<std::uint64_t>(src), tag};
-  std::unique_lock<std::mutex> lk(box.mu);
-  box.cv.wait(lk, [&] {
-    auto it = box.flows.find(key);
-    return it != box.flows.end() && !it->second.empty();
-  });
-  auto it = box.flows.find(key);
-  wire::Bytes frame = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) box.flows.erase(it);
-  // Swap so the caller gets the frame's bytes and the caller's old capacity
-  // becomes the next frame shell.
-  out.swap(frame);
-  box.pool.release(std::move(frame));
-}
-
-TransportStats ShmemTransport::stats() const {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  return stats_;
-}
-
-// ---------------------------------------------------------------------------
-// Factory
-
-std::shared_ptr<Transport> make_transport(const TransportOptions& opts) {
-  switch (opts.kind) {
-    case TransportKind::Modeled:
-      return nullptr;  // the default arm: no transport attached
-    case TransportKind::Shmem:
-      return std::make_shared<ShmemTransport>(opts.ranks);
-    case TransportKind::Socket: {
-      SocketConfig cfg;
-      cfg.ranks = opts.ranks;
-      cfg.groups = opts.groups;
-      cfg.group = opts.group;
-      cfg.dir = opts.dir;
-      cfg.drop_rate = opts.drop_rate;
-      cfg.drop_seed = opts.drop_seed;
-      return std::make_shared<SocketTransport>(cfg);
-    }
-  }
-  CANB_ASSERT_MSG(false, "unhandled TransportKind");
-  return nullptr;
 }
 
 }  // namespace canb::vmpi

@@ -16,49 +16,45 @@
 //     arrives, then fills `out` (capacity-preserving where possible).
 //     `dst` must be local to this endpoint.
 //   - local(rank): whether `rank`'s payloads materialize in this process.
-//     Single-endpoint backends (modeled, shmem) own every rank; the socket
-//     backend partitions ranks into process groups.
-//   - barrier(): rendezvous across endpoints; no-op for single-endpoint
-//     backends.
+//     The modeled backend owns every rank; the socket backend partitions
+//     ranks into process groups.
+//   - barrier(): rendezvous across endpoints; no-op for the modeled backend.
+//   - send/recv/barrier throw TransportError once the endpoint they need
+//     is gone, instead of waiting forever.
 //
 // Backends:
 //   - ModeledTransport: serial in-process FIFO queues, no locks. The
 //     reference implementation of the contract; also useful to exercise
 //     serialization without concurrency in the mix.
-//   - ShmemTransport: ranks-as-threads backend. Mutex-striped per-
-//     destination mailboxes; frame byte-buffers are recycled through a
-//     BufferPool so a warmed steady state stops allocating.
 //   - SocketTransport (socket_transport.hpp): one OS process per rank
 //     group, length-prefixed frames over Unix-domain sockets with a
-//     reliable-channel layer (reliable.hpp).
+//     reliable-channel layer (reliable.hpp). Callers build it from a
+//     SocketConfig.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
-#include <string>
+#include <stdexcept>
 #include <string_view>
-#include <vector>
 
 #include "support/wire.hpp"
-#include "vmpi/buffer_pool.hpp"
 
 namespace canb::vmpi {
 
-enum class TransportKind { Modeled, Shmem, Socket };
+enum class TransportKind { Modeled, Socket };
 
 const char* transport_kind_name(TransportKind k) noexcept;
 std::optional<TransportKind> parse_transport_kind(std::string_view name) noexcept;
 
-/// How a multi-process mesh divides the physics.
-///   - Lockstep: every process redundantly computes all p virtual ranks and
-///     adopts wire bytes at group boundaries (the PR 8 parity-harness mode).
-///   - OwnerComputes: each process runs force sweeps / reassign splits /
+/// The execution mode in effect: a label, not a choice.
+///   - Lockstep: one endpoint, every rank local (no transport, the modeled
+///     one, or a one-group socket mesh); this process computes all p
+///     virtual ranks.
+///   - OwnerComputes: every run whose transport spans more than one
+///     process group. Each process runs force sweeps / reassign splits /
 ///     data-plane copies only for ranks its group owns; everything else is
 ///     obtained by recv-adoption. The virtual cost plane stays fully
 ///     replicated, so clocks/ledgers/traces remain bitwise identical to the
@@ -66,7 +62,14 @@ std::optional<TransportKind> parse_transport_kind(std::string_view name) noexcep
 enum class ExecMode { Lockstep, OwnerComputes };
 
 const char* exec_mode_name(ExecMode m) noexcept;
-std::optional<ExecMode> parse_exec_mode(std::string_view name) noexcept;
+
+/// A transport that can no longer deliver: a peer endpoint died or closed
+/// mid-run, or sent a frame the protocol rejects. The message names this
+/// endpoint's group, the peer group, and the flow that was waiting.
+class TransportError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Tags at or above this value are reserved for out-of-band control flows
 /// that ride the transport without touching the virtual cost model —
@@ -109,10 +112,10 @@ class Transport {
   virtual int ranks() const noexcept = 0;
   virtual bool local(int rank) const noexcept { (void)rank; return true; }
 
-  /// How ranks partition into OS endpoints. Single-endpoint backends
-  /// (modeled, shmem) are one group owning every rank; the socket backend
-  /// reports its process-group geometry so mesh-wide telemetry aggregation
-  /// (obs/snapshot.hpp) can address peer endpoints.
+  /// How ranks partition into OS endpoints. The modeled backend is one
+  /// group owning every rank; the socket backend reports its process-group
+  /// geometry so mesh-wide telemetry aggregation (obs/snapshot.hpp) can
+  /// address peer endpoints.
   virtual int groups() const noexcept { return 1; }
   virtual int group() const noexcept { return 0; }
   virtual int owner_group(int rank) const noexcept { (void)rank; return 0; }
@@ -143,56 +146,5 @@ class ModeledTransport final : public Transport {
   std::map<Key, std::deque<wire::Bytes>> queues_;
   TransportStats stats_;
 };
-
-/// Ranks-as-threads shared-memory transport. One mailbox per destination
-/// rank (so the lock striping matches the natural sharding of concurrent
-/// senders: senders to different destinations never contend). Frame shells
-/// are recycled via a per-mailbox BufferPool<wire::Bytes>; recv swaps the
-/// frame out and returns the caller's old buffer to the pool, so the warmed
-/// path moves capacity around instead of allocating.
-class ShmemTransport final : public Transport {
- public:
-  explicit ShmemTransport(int ranks);
-  ~ShmemTransport() override = default;
-
-  TransportKind kind() const noexcept override { return TransportKind::Shmem; }
-  int ranks() const noexcept override { return ranks_; }
-
-  void send(int src, int dst, std::uint64_t tag, std::span<const std::byte> payload) override;
-  void recv(int src, int dst, std::uint64_t tag, wire::Bytes& out) override;
-  TransportStats stats() const override;
-
- private:
-  using FlowKey = std::pair<std::uint64_t, std::uint64_t>;  // (src, tag)
-
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::map<FlowKey, std::deque<wire::Bytes>> flows;
-    BufferPool<wire::Bytes> pool;  // recycled frame shells, guarded by mu
-  };
-
-  int ranks_;
-  std::vector<std::unique_ptr<Mailbox>> boxes_;
-  mutable std::mutex stats_mu_;
-  TransportStats stats_;
-};
-
-/// Endpoint-construction options shared by the factory and the CLI.
-struct TransportOptions {
-  TransportKind kind = TransportKind::Modeled;
-  int ranks = 0;
-  int groups = 1;        ///< socket: number of OS processes
-  int group = 0;         ///< socket: this endpoint's group index
-  std::string dir;       ///< socket: rendezvous directory for UDS paths
-  double drop_rate = 0;  ///< socket: seeded egress drop injection (tests)
-  std::uint64_t drop_seed = 1;
-};
-
-/// Builds an endpoint. Returns nullptr for TransportKind::Modeled *by
-/// design*: the default modeled arm is "no transport attached" and must
-/// stay bitwise-inert and zero-overhead; tests that want the routed
-/// modeled reference construct ModeledTransport explicitly.
-std::shared_ptr<Transport> make_transport(const TransportOptions& opts);
 
 }  // namespace canb::vmpi

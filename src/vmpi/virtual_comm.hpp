@@ -90,7 +90,8 @@ class VirtualComm {
   /// reassign splits, data-plane copies — for ranks whose payloads live in
   /// another process group, while every virtual charge loop stays fully
   /// replicated so clocks, ledgers, and traces remain bitwise identical to
-  /// the modeled arm. Lockstep (the default) keeps resident() always true.
+  /// the modeled arm. Off (the default, and every single-endpoint run)
+  /// keeps resident() always true.
   void set_owner_computes(bool on) {
     CANB_REQUIRE(!on || transport_ != nullptr, "owner-computes requires an attached transport");
     owner_computes_ = on;
@@ -105,7 +106,7 @@ class VirtualComm {
   }
 
   /// Per-round message tag for transport flows. Every primitive call draws
-  /// one tag; under SPMD lockstep execution all processes draw the same
+  /// one tag; every process runs the same schedule and draws the same
   /// sequence, which is what lets send/recv pairs match across processes
   /// without any negotiation. Counts up from 1 — tags at or above
   /// vmpi::kReservedTagBase belong to out-of-band control flows (telemetry

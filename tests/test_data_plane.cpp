@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -29,9 +28,9 @@
 #include "particles/init.hpp"
 #include "sim/simulation.hpp"
 #include "support/parallel.hpp"
+#include "tests/parity.hpp"
 #include "vmpi/buffer_pool.hpp"
 #include "vmpi/primitives.hpp"
-#include "vmpi/trace.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counting hook: every global new in this binary bumps a counter.
@@ -64,47 +63,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using namespace canb;
+using namespace canb::parity;
 using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 using particles::SoaBlock;
 
 constexpr int kSteps = 3;
-
-// --- bitwise comparison helpers (shared idiom with test_layout_invariance) --
-
-::testing::AssertionResult bits_equal(float a, float b) {
-  if (std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b))
-    return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " and " << b << " differ (bits 0x" << std::hex
-         << std::bit_cast<std::uint32_t>(a) << " vs 0x" << std::bit_cast<std::uint32_t>(b)
-         << ")";
-}
-
-void expect_state_bitwise_equal(const particles::Block& got, const particles::Block& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].id, want[i].id);
-    EXPECT_TRUE(bits_equal(got[i].fx, want[i].fx)) << "fx of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].fy, want[i].fy)) << "fy of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].px, want[i].px)) << "px of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].py, want[i].py)) << "py of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].vx, want[i].vx)) << "vx of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].vy, want[i].vy)) << "vy of particle " << got[i].id;
-  }
-}
-
-void expect_report_field_equal(const sim::RunReport& got, const sim::RunReport& want) {
-  EXPECT_EQ(got.messages, want.messages);
-  EXPECT_EQ(got.bytes, want.bytes);
-  EXPECT_EQ(got.compute, want.compute);
-  EXPECT_EQ(got.broadcast, want.broadcast);
-  EXPECT_EQ(got.skew, want.skew);
-  EXPECT_EQ(got.shift, want.shift);
-  EXPECT_EQ(got.reduce, want.reduce);
-  EXPECT_EQ(got.reassign, want.reassign);
-  EXPECT_EQ(got.wall, want.wall);
-  EXPECT_EQ(got.imbalance, want.imbalance);
-}
 
 // --- the pooled-vs-legacy property matrix ----------------------------------
 
@@ -137,20 +100,9 @@ Sim make_sim(sim::Method method, double cutoff, bool fault, const Arm& arm) {
   return s;
 }
 
-/// Runs `steps` with a trace recorder attached and returns the serialized
-/// full message trace plus final state and report.
-struct RunResult {
-  std::string trace;
-  particles::Block state;
-  sim::RunReport report;
-};
-
 RunResult run_arm(sim::Method method, double cutoff, bool fault, const Arm& arm) {
   auto s = make_sim(method, cutoff, fault, arm);
-  vmpi::TraceRecorder rec;
-  s.comm().set_trace(&rec);
-  s.run(kSteps);
-  return {vmpi::serialize_trace(rec), s.gather(), s.report()};
+  return run_traced(s, kSteps);
 }
 
 void run_matrix(sim::Method method, double cutoff, bool fault) {
@@ -161,10 +113,7 @@ void run_matrix(sim::Method method, double cutoff, bool fault) {
   for (const Arm& arm : arms) {
     SCOPED_TRACE(::testing::Message() << (arm.pooled ? "pooled" : "legacy") << " plane, "
                                       << arm.threads << " threads");
-    const auto got = run_arm(method, cutoff, fault, arm);
-    expect_state_bitwise_equal(got.state, want.state);
-    expect_report_field_equal(got.report, want.report);
-    EXPECT_EQ(got.trace, want.trace) << "full message trace diverged";
+    expect_run_equal(run_arm(method, cutoff, fault, arm), want);
   }
 }
 
@@ -183,10 +132,7 @@ TEST(DataPlaneBitwise, CaCutoffUnderFaultInjection) {
 TEST(DataPlaneBitwise, SpatialHaloReassign) {
   // The halo baseline shares reassign_spatial; cover its pooled arm too.
   const auto want = run_arm(sim::Method::SpatialHalo, 0.12, false, {false, 1});
-  const auto got = run_arm(sim::Method::SpatialHalo, 0.12, false, {true, 1});
-  expect_state_bitwise_equal(got.state, want.state);
-  expect_report_field_equal(got.report, want.report);
-  EXPECT_EQ(got.trace, want.trace);
+  expect_run_equal(run_arm(sim::Method::SpatialHalo, 0.12, false, {true, 1}), want);
 }
 
 // --- BufferPool / SoaBlock capacity units ----------------------------------

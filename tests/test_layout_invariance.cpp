@@ -9,7 +9,6 @@
 // examined-pair counts, never from how the host stores or sweeps the lanes.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -19,10 +18,12 @@
 #include "particles/simd/simd.hpp"
 #include "sim/simulation.hpp"
 #include "support/parallel.hpp"
+#include "tests/parity.hpp"
 
 namespace {
 
 using namespace canb;
+using namespace canb::parity;
 using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 
 constexpr int kSteps = 3;
@@ -48,43 +49,6 @@ Sim make_sim(sim::Method method, double cutoff, int threads) {
   Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
   if (threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(threads));
   return s;
-}
-
-/// Bitwise float equality: distinguishes +0.0 from -0.0 and would catch a
-/// NaN produced on one path only — stricter than operator==.
-::testing::AssertionResult bits_equal(float a, float b) {
-  if (std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b))
-    return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " and " << b << " differ (bits 0x" << std::hex
-         << std::bit_cast<std::uint32_t>(a) << " vs 0x" << std::bit_cast<std::uint32_t>(b)
-         << ")";
-}
-
-void expect_state_bitwise_equal(const particles::Block& got, const particles::Block& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].id, want[i].id);
-    EXPECT_TRUE(bits_equal(got[i].fx, want[i].fx)) << "fx of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].fy, want[i].fy)) << "fy of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].px, want[i].px)) << "px of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].py, want[i].py)) << "py of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].vx, want[i].vx)) << "vx of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].vy, want[i].vy)) << "vy of particle " << got[i].id;
-  }
-}
-
-void expect_report_field_equal(const sim::RunReport& got, const sim::RunReport& want) {
-  EXPECT_EQ(got.messages, want.messages);
-  EXPECT_EQ(got.bytes, want.bytes);
-  EXPECT_EQ(got.compute, want.compute);
-  EXPECT_EQ(got.broadcast, want.broadcast);
-  EXPECT_EQ(got.skew, want.skew);
-  EXPECT_EQ(got.shift, want.shift);
-  EXPECT_EQ(got.reduce, want.reduce);
-  EXPECT_EQ(got.reassign, want.reassign);
-  EXPECT_EQ(got.wall, want.wall);
-  EXPECT_EQ(got.imbalance, want.imbalance);
 }
 
 void run_matrix(sim::Method method, double cutoff) {

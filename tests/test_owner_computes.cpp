@@ -9,9 +9,10 @@
 //     process self-checks trace + gathered state + report against the
 //     pre-fork modeled baseline.
 //   * Work partition: per-group canb_sweep_pairs_computed_total series (the
-//     mesh-merged registry on group 0) must sum to the lockstep total, with
-//     every group contributing a strictly partial share — the proof that
-//     the mesh actually divides the sweeps instead of replicating them.
+//     mesh-merged registry on group 0) must sum to the single-process
+//     total, with every group contributing a strictly partial share — the
+//     proof that the mesh actually divides the sweeps instead of
+//     replicating them.
 //
 // Fork discipline mirrors tests/test_transport_e2e.cpp: baseline before the
 // fork (no live threads at fork time — the baseline's ThreadPool dies with
@@ -19,7 +20,6 @@
 // destroyed (flush + close-barrier) before children are reaped.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -32,22 +32,17 @@
 #include "particles/init.hpp"
 #include "sim/simulation.hpp"
 #include "support/parallel.hpp"
+#include "tests/parity.hpp"
 #include "vmpi/socket_transport.hpp"
-#include "vmpi/trace.hpp"
 #include "vmpi/transport.hpp"
 
 namespace {
 
 using namespace canb;
+using namespace canb::parity;
 using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 
 constexpr int kSteps = 4;
-
-struct RunResult {
-  std::string trace;
-  particles::Block state;
-  sim::RunReport report;
-};
 
 Sim::Config base_config(sim::Method method) {
   Sim::Config cfg;
@@ -69,36 +64,11 @@ RunResult run_arm(sim::Method method, int threads, std::shared_ptr<vmpi::Transpo
   cfg.transport = std::move(transport);
   Sim s(cfg, particles::init_uniform(96, cfg.box, 2013, 0.01));
   if (threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(threads));
-  vmpi::TraceRecorder rec;
-  s.comm().set_trace(&rec);
-  s.run(kSteps);
-  return {vmpi::serialize_trace(rec), s.gather(), s.report()};
+  return run_traced(s, kSteps);
 }
 
-/// Plain-bool comparison (no gtest in forked children).
-bool bits_equal(float a, float b) {
-  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
-}
-
-bool runs_equal(const RunResult& got, const RunResult& want) {
-  if (got.trace != want.trace) return false;
-  if (got.state.size() != want.state.size()) return false;
-  for (std::size_t i = 0; i < got.state.size(); ++i) {
-    const auto& g = got.state[i];
-    const auto& w = want.state[i];
-    if (g.id != w.id || !bits_equal(g.px, w.px) || !bits_equal(g.py, w.py) ||
-        !bits_equal(g.vx, w.vx) || !bits_equal(g.vy, w.vy) || !bits_equal(g.fx, w.fx) ||
-        !bits_equal(g.fy, w.fy))
-      return false;
-  }
-  const auto& gr = got.report;
-  const auto& wr = want.report;
-  return gr.messages == wr.messages && gr.bytes == wr.bytes && gr.compute == wr.compute &&
-         gr.broadcast == wr.broadcast && gr.skew == wr.skew && gr.shift == wr.shift &&
-         gr.reduce == wr.reduce && gr.reassign == wr.reassign && gr.wall == wr.wall &&
-         gr.imbalance == wr.imbalance;
-}
-
+/// Every group self-checks; forked children compare with the plain-bool
+/// runs_equal (no gtest there) and report through their exit status.
 void run_parity_case(sim::Method method, int groups, int threads, double drop_rate) {
   // Baseline first: forked children inherit it and self-check against it.
   const auto want = run_arm(method, threads, nullptr);
@@ -153,37 +123,6 @@ TEST(OwnerComputes, CutoffFourGroupsLossy) {
   run_parity_case(sim::Method::CaCutoff, 4, 2, 0.1);
 }
 
-/// Explicit lockstep opt-out must still match the baseline (the PR 8
-/// behavior stays available behind --transport-exec=lockstep).
-TEST(OwnerComputes, LockstepOptOutStillMatches) {
-  const auto want = run_arm(sim::Method::CaCutoff, 1, nullptr);
-  const std::string dir = vmpi::make_rendezvous_dir();
-  vmpi::ProcessGroup pg(2);
-  bool ok = false;
-  {
-    vmpi::SocketConfig sc;
-    sc.ranks = base_config(sim::Method::CaCutoff).p;
-    sc.groups = 2;
-    sc.group = pg.group();
-    sc.dir = dir;
-    auto t = std::make_shared<vmpi::SocketTransport>(sc);
-    Sim::Config cfg = base_config(sim::Method::CaCutoff);
-    cfg.transport = t;
-    cfg.exec = vmpi::ExecMode::Lockstep;
-    Sim s(cfg, particles::init_uniform(96, cfg.box, 2013, 0.01));
-    vmpi::TraceRecorder rec;
-    s.comm().set_trace(&rec);
-    s.run(kSteps);
-    const RunResult got{vmpi::serialize_trace(rec), s.gather(), s.report()};
-    ok = runs_equal(got, want) && s.exec_mode() == vmpi::ExecMode::Lockstep;
-  }
-  if (!pg.primary()) std::_Exit(ok ? 0 : 1);
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(pg.wait_children(), 0);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-}
-
 std::uint64_t sum_counter(const obs::MetricsRegistry& reg, const std::string& name,
                           std::size_t* n_series = nullptr) {
   std::uint64_t sum = 0;
@@ -198,10 +137,10 @@ std::uint64_t sum_counter(const obs::MetricsRegistry& reg, const std::string& na
 
 /// Each process must sweep ONLY its owned ranks' pairs: the group-labeled
 /// canb_sweep_pairs_computed_total series in the mesh-merged registry sum
-/// to the lockstep total, and each group's share is strictly partial.
+/// to the single-process total, and each group's share is strictly partial.
 TEST(OwnerComputes, SweepPairsPartitionAcrossGroups) {
-  // Lockstep total from the modeled arm. Full level so the bulk fast path
-  // is off in both arms and every sweep hits the telemetry hook.
+  // Single-process total from the modeled arm. Full level so the bulk fast
+  // path is off in both arms and every sweep hits the telemetry hook.
   std::uint64_t want_total = 0;
   {
     Sim::Config cfg = base_config(sim::Method::CaAllPairs);
@@ -243,9 +182,9 @@ TEST(OwnerComputes, SweepPairsPartitionAcrossGroups) {
   }
   if (!pg.primary()) std::_Exit(ok ? 0 : 1);
 
-  EXPECT_TRUE(ok) << "group 0 swept zero pairs or the full lockstep workload";
+  EXPECT_TRUE(ok) << "group 0 swept zero pairs or the full single-process workload";
   EXPECT_TRUE(partition_ok)
-      << "per-group canb_sweep_pairs_computed_total did not sum to the lockstep total";
+      << "per-group canb_sweep_pairs_computed_total did not sum to the single-process total";
   EXPECT_EQ(pg.wait_children(), 0);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);

@@ -83,7 +83,7 @@ TEST(ReliableReceiver, InOrderDeliversAndAcksCumulatively) {
   std::vector<std::string> delivered;
   auto sink = [&](Frame&& f) { delivered.push_back(text_of(f)); };
   for (int i = 0; i < 3; ++i) {
-    Frame f = data_frame(1, "m" + std::to_string(i));
+    Frame f = data_frame(1, std::string("m").append(std::to_string(i)));
     f.seq = static_cast<std::uint64_t>(i);
     EXPECT_EQ(rx.on_data(std::move(f), sink), static_cast<std::uint64_t>(i + 1));
   }

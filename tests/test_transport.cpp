@@ -7,8 +7,8 @@
 //   3. zero-length payloads are legal frames and arrive as such;
 //   4. large frames (megabytes) survive intact;
 //   5. SoaBlock payloads round-trip bitwise through wire encode/decode;
-//   6. concurrent senders to one destination keep per-sender order
-//      (shmem: mailbox striping under real contention);
+//   6. a corrupt length prefix fails the endpoint with a TransportError
+//      before anything is allocated for it;
 //   7. with a transport attached, the vmpi primitives produce buffers
 //      bitwise identical to the unattached in-process reference.
 //
@@ -17,9 +17,11 @@
 // rendezvous) and frames genuinely cross Unix-domain sockets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -27,10 +29,15 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include "core/policy.hpp"
 #include "machine/presets.hpp"
 #include "particles/init.hpp"
 #include "particles/soa_block.hpp"
+#include "sim/simulation.hpp"
 #include "support/assert.hpp"
 #include "support/wire.hpp"
 #include "vmpi/primitives.hpp"
@@ -43,7 +50,6 @@ namespace {
 using namespace canb;
 using particles::SoaBlock;
 using vmpi::ModeledTransport;
-using vmpi::ShmemTransport;
 using vmpi::SocketConfig;
 using vmpi::SocketTransport;
 using vmpi::Transport;
@@ -57,7 +63,7 @@ wire::Bytes pattern(std::size_t n, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-endpoint conformance (modeled and shmem own every rank).
+// Single-endpoint conformance (the modeled backend owns every rank).
 
 void check_fifo_per_flow(Transport& t) {
   for (int i = 0; i < 16; ++i) t.send(0, 1, /*tag=*/7, pattern(32, static_cast<std::uint64_t>(i)));
@@ -129,40 +135,6 @@ TEST(TransportConformance, Modeled) {
   ModeledTransport t(4);
   EXPECT_EQ(t.kind(), vmpi::TransportKind::Modeled);
   run_single_endpoint_suite(t);
-}
-
-TEST(TransportConformance, Shmem) {
-  ShmemTransport t(4);
-  EXPECT_EQ(t.kind(), vmpi::TransportKind::Shmem);
-  run_single_endpoint_suite(t);
-}
-
-TEST(TransportConformance, ShmemConcurrentSendersKeepPerSenderOrder) {
-  constexpr int kSenders = 8;
-  constexpr int kFrames = 200;
-  ShmemTransport t(kSenders + 1);
-  const int dst = kSenders;  // everyone hammers one mailbox
-  std::vector<std::thread> senders;
-  senders.reserve(kSenders);
-  for (int s = 0; s < kSenders; ++s) {
-    senders.emplace_back([&t, s] {
-      for (int i = 0; i < kFrames; ++i)
-        t.send(s, kSenders, /*tag=*/1,
-               pattern(24, static_cast<std::uint64_t>(s) * 1000u + static_cast<std::uint64_t>(i)));
-    });
-  }
-  // Drain while the senders are still pushing: recv blocks until frames land.
-  wire::Bytes got;
-  for (int s = 0; s < kSenders; ++s) {
-    for (int i = 0; i < kFrames; ++i) {
-      t.recv(s, dst, 1, got);
-      EXPECT_EQ(got,
-                pattern(24, static_cast<std::uint64_t>(s) * 1000u + static_cast<std::uint64_t>(i)))
-          << "sender " << s << " frame " << i;
-    }
-  }
-  for (auto& th : senders) th.join();
-  EXPECT_EQ(t.stats().frames_received, static_cast<std::uint64_t>(kSenders) * kFrames);
 }
 
 // ---------------------------------------------------------------------------
@@ -294,6 +266,79 @@ TEST(TransportConformance, SocketPoolStaysBoundedOverManyRemoteRounds) {
   EXPECT_LE(mesh.b->pooled_buffers(2), static_cast<std::size_t>(kBurst));
 }
 
+// A length prefix of 2^62 would make a reader allocate exabytes. The
+// endpoint checks the prefix against kMaxFrameBodyBytes first: a raw
+// client that dials the listener and sends it as its hello length fails
+// the rendezvous with a TransportError, not a bad_alloc.
+TEST(TransportConformance, SocketRejectsOversizedFrameLength) {
+  const std::string dir = vmpi::make_rendezvous_dir();
+  SocketConfig cfg;
+  cfg.ranks = 2;
+  cfg.groups = 2;
+  cfg.dir = dir;
+  std::exception_ptr error;
+  std::thread endpoint([&] {
+    try {
+      SocketTransport t(cfg);  // group 0: listens, waits for group 1's hello
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string path = dir + "/g0.sock";
+  ASSERT_LT(path.size(), sizeof addr.sun_path);
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  bool connected = false;
+  for (int attempt = 0; attempt < 2000 && !connected; ++attempt) {
+    connected = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0;
+    if (!connected) ::usleep(5'000);
+  }
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  const bool wrote =
+      connected && ::write(fd, &huge, sizeof huge) == static_cast<ssize_t>(sizeof huge);
+  endpoint.join();
+  ::close(fd);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  ASSERT_TRUE(connected && wrote);
+  ASSERT_TRUE(error != nullptr) << "the endpoint accepted a 2^62-byte hello";
+  try {
+    std::rethrow_exception(error);
+  } catch (const vmpi::TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("frame length"), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "expected TransportError, got: " << e.what();
+  }
+}
+
+// A transport carries only the CA methods: they alone have the residency
+// gates that owner-computes needs.
+TEST(TransportConformance, SimulationRejectsTransportForNonCaMethods) {
+  using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
+  for (const auto method : {sim::Method::ParticleRing, sim::Method::ParticleAllGather,
+                            sim::Method::ForceDecomp}) {
+    Sim::Config cfg;
+    cfg.method = method;
+    cfg.p = 4;
+    cfg.machine = machine::hopper();
+    EXPECT_NO_THROW(Sim(cfg, particles::init_uniform(16, cfg.box, 1, 0.01)))
+        << sim::method_name(method) << " runs without a transport";
+    cfg.transport = std::make_shared<ModeledTransport>(4);
+    EXPECT_THROW(Sim(cfg, particles::init_uniform(16, cfg.box, 1, 0.01)), PreconditionError)
+        << sim::method_name(method);
+  }
+  Sim::Config cfg;
+  cfg.method = sim::Method::CaAllPairs;
+  cfg.p = 4;
+  cfg.machine = machine::hopper();
+  cfg.transport = std::make_shared<ModeledTransport>(4);
+  Sim s(cfg, particles::init_uniform(16, cfg.box, 1, 0.01));
+  EXPECT_EQ(s.exec_mode(), vmpi::ExecMode::Lockstep) << "one endpoint: every rank local";
+}
+
 // ---------------------------------------------------------------------------
 // SoaBlock wire round trip: the payload integrity half of the contract.
 
@@ -396,32 +441,15 @@ TEST(TransportPrimitives, ModeledRoutingMatchesReference) {
   EXPECT_GT(t.stats().frames_sent, 0u) << "primitives must actually route through the transport";
 }
 
-TEST(TransportPrimitives, ShmemRoutingMatchesReference) {
-  const auto want = run_primitive_round(nullptr);
-  ShmemTransport t(8);
-  const auto got = run_primitive_round(&t);
-  expect_blocks_bitwise_equal(got, want);
-  EXPECT_GT(t.stats().frames_sent, 0u);
-}
-
 // ---------------------------------------------------------------------------
-// Factory and naming.
+// Naming.
 
 TEST(TransportFactory, NamesRoundTripAndModeledYieldsNull) {
   using vmpi::TransportKind;
-  for (const auto k : {TransportKind::Modeled, TransportKind::Shmem, TransportKind::Socket})
+  for (const auto k : {TransportKind::Modeled, TransportKind::Socket})
     EXPECT_EQ(vmpi::parse_transport_kind(vmpi::transport_kind_name(k)), k);
   EXPECT_FALSE(vmpi::parse_transport_kind("carrier-pigeon").has_value());
-
-  vmpi::TransportOptions opts;
-  opts.ranks = 4;
-  EXPECT_EQ(vmpi::make_transport(opts), nullptr)
-      << "modeled means no transport attached, by design";
-  opts.kind = TransportKind::Shmem;
-  const auto t = vmpi::make_transport(opts);
-  ASSERT_NE(t, nullptr);
-  EXPECT_EQ(t->kind(), TransportKind::Shmem);
-  EXPECT_EQ(t->ranks(), 4);
+  EXPECT_FALSE(vmpi::parse_transport_kind("shmem").has_value());
 }
 
 }  // namespace

@@ -10,37 +10,37 @@
 // in a forked child), and the parent asserts its own comparison plus that
 // every child exited zero. The transport endpoint is destroyed before
 // children are reaped — its destructor barriers against the peers.
+//
+// The failure half of the contract: a group that dies without tearing its
+// endpoint down must fail the survivor with a TransportError within a
+// bounded time, not leave it waiting forever.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <system_error>
 
+#include <unistd.h>
+
 #include "machine/presets.hpp"
 #include "particles/init.hpp"
 #include "sim/simulation.hpp"
+#include "tests/parity.hpp"
 #include "vmpi/socket_transport.hpp"
-#include "vmpi/trace.hpp"
 #include "vmpi/transport.hpp"
 
 namespace {
 
 using namespace canb;
+using namespace canb::parity;
 using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 
 constexpr int kSteps = 10;
 
-struct RunResult {
-  std::string trace;
-  particles::Block state;
-  sim::RunReport report;
-};
-
-RunResult run_arm(std::shared_ptr<vmpi::Transport> transport) {
+Sim::Config base_config() {
   Sim::Config cfg;
   cfg.method = sim::Method::CaCutoff;
   cfg.p = 32;
@@ -49,36 +49,14 @@ RunResult run_arm(std::shared_ptr<vmpi::Transport> transport) {
   cfg.kernel = {1e-4, 1e-2};
   cfg.cutoff = 0.12;
   cfg.dt = 1e-4;
+  return cfg;
+}
+
+RunResult run_arm(std::shared_ptr<vmpi::Transport> transport) {
+  Sim::Config cfg = base_config();
   cfg.transport = std::move(transport);
   Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
-  vmpi::TraceRecorder rec;
-  s.comm().set_trace(&rec);
-  s.run(kSteps);
-  return {vmpi::serialize_trace(rec), s.gather(), s.report()};
-}
-
-/// Plain-bool comparison (no gtest in forked children).
-bool bits_equal(float a, float b) {
-  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
-}
-
-bool runs_equal(const RunResult& got, const RunResult& want) {
-  if (got.trace != want.trace) return false;
-  if (got.state.size() != want.state.size()) return false;
-  for (std::size_t i = 0; i < got.state.size(); ++i) {
-    const auto& g = got.state[i];
-    const auto& w = want.state[i];
-    if (g.id != w.id || !bits_equal(g.px, w.px) || !bits_equal(g.py, w.py) ||
-        !bits_equal(g.vx, w.vx) || !bits_equal(g.vy, w.vy) || !bits_equal(g.fx, w.fx) ||
-        !bits_equal(g.fy, w.fy))
-      return false;
-  }
-  const auto& gr = got.report;
-  const auto& wr = want.report;
-  return gr.messages == wr.messages && gr.bytes == wr.bytes && gr.compute == wr.compute &&
-         gr.broadcast == wr.broadcast && gr.skew == wr.skew && gr.shift == wr.shift &&
-         gr.reduce == wr.reduce && gr.reassign == wr.reassign && gr.wall == wr.wall &&
-         gr.imbalance == wr.imbalance;
+  return run_traced(s, kSteps);
 }
 
 void run_four_process_case(double drop_rate) {
@@ -118,6 +96,55 @@ TEST(TransportE2E, FourProcessSocketMatchesModeledBitwise) { run_four_process_ca
 
 TEST(TransportE2E, FourProcessSocketRecoversFromDropInjection) {
   run_four_process_case(/*drop_rate=*/0.1);
+}
+
+// Group 1 dies after a few steps without tearing its endpoint down (no
+// flush, no close barrier, no orderly shutdown). Group 0's next step needs
+// frames group 1 will never send: it must throw a TransportError naming
+// the lost group within the deadline, and its own teardown must not hang.
+TEST(TransportE2E, DeadPeerFailsTheSurvivorWithinDeadline) {
+  constexpr int kStepsBeforeDeath = 3;
+  constexpr double kDeadlineSeconds = 10.0;
+  const std::string dir = vmpi::make_rendezvous_dir();
+  vmpi::ProcessGroup pg(2);
+  bool threw = false;
+  std::string what;
+  double waited = 0.0;
+  {
+    vmpi::SocketConfig sc;
+    sc.ranks = 32;
+    sc.groups = 2;
+    sc.group = pg.group();
+    sc.dir = dir;
+    auto t = std::make_shared<vmpi::SocketTransport>(sc);
+    Sim::Config cfg = base_config();
+    cfg.transport = t;
+    Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
+    s.run(kStepsBeforeDeath);
+    t->barrier();  // both groups are past step k before one of them dies
+    if (!pg.primary()) std::_Exit(0);  // dies holding its endpoint open
+
+    // A regression here is a hang: SIGALRM's default action ends the test
+    // process well before ctest's own timeout would.
+    ::alarm(2 * static_cast<unsigned>(kDeadlineSeconds));
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      s.step();
+    } catch (const vmpi::TransportError& e) {
+      threw = true;
+      what = e.what();
+    }
+    waited = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    ::alarm(0);
+  }  // teardown with a gone peer: no flush, no barrier
+
+  EXPECT_TRUE(threw) << "the step after the peer died did not throw TransportError";
+  EXPECT_LT(waited, kDeadlineSeconds);
+  EXPECT_NE(what.find("group 0 lost peer group 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("src "), std::string::npos) << "the message names the flow: " << what;
+  EXPECT_EQ(pg.wait_children(), 0);
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Cross-backend parity: running a full simulation over a *real* transport
-// (routed modeled queues, ranks-as-threads shmem, or a genuine 2-process-
-// group Unix-socket mesh driven in-process) must be bitwise identical to
-// the no-transport modeled arm — trajectories, every CostLedger-derived
-// report field, and the full serialized message trace. The matrix extends
-// tests/test_data_plane.cpp's idiom: backends x CA engines x host thread
-// counts, plus a lossy socket arm that must recover through the reliable
-// channel without perturbing anything.
+// (routed modeled queues, or a genuine 2-process-group Unix-socket mesh
+// driven in-process) must be bitwise identical to the no-transport modeled
+// arm — trajectories, every CostLedger-derived report field, and the full
+// serialized message trace. The matrix extends tests/test_data_plane.cpp's
+// idiom: backends x CA engines x host thread counts, plus a lossy socket
+// arm that must recover through the reliable channel without perturbing
+// anything.
 //
 // Why this is a strong test: the primitives charge costs BEFORE bytes move
 // (charge-before-move), but receivers ADOPT the wire bytes, so the channel
@@ -14,64 +14,28 @@
 // up as a bitwise diff here.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <system_error>
 #include <thread>
-#include <vector>
 
 #include "machine/presets.hpp"
 #include "particles/init.hpp"
 #include "sim/simulation.hpp"
 #include "support/parallel.hpp"
+#include "tests/parity.hpp"
 #include "vmpi/socket_transport.hpp"
-#include "vmpi/trace.hpp"
 #include "vmpi/transport.hpp"
 
 namespace {
 
 using namespace canb;
+using namespace canb::parity;
 using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 
 constexpr int kSteps = 3;
-
-::testing::AssertionResult bits_equal(float a, float b) {
-  if (std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b))
-    return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a << " and " << b << " differ (bits 0x" << std::hex
-         << std::bit_cast<std::uint32_t>(a) << " vs 0x" << std::bit_cast<std::uint32_t>(b)
-         << ")";
-}
-
-void expect_state_bitwise_equal(const particles::Block& got, const particles::Block& want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].id, want[i].id);
-    EXPECT_TRUE(bits_equal(got[i].fx, want[i].fx)) << "fx of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].fy, want[i].fy)) << "fy of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].px, want[i].px)) << "px of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].py, want[i].py)) << "py of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].vx, want[i].vx)) << "vx of particle " << got[i].id;
-    EXPECT_TRUE(bits_equal(got[i].vy, want[i].vy)) << "vy of particle " << got[i].id;
-  }
-}
-
-void expect_report_field_equal(const sim::RunReport& got, const sim::RunReport& want) {
-  EXPECT_EQ(got.messages, want.messages);
-  EXPECT_EQ(got.bytes, want.bytes);
-  EXPECT_EQ(got.compute, want.compute);
-  EXPECT_EQ(got.broadcast, want.broadcast);
-  EXPECT_EQ(got.skew, want.skew);
-  EXPECT_EQ(got.shift, want.shift);
-  EXPECT_EQ(got.reduce, want.reduce);
-  EXPECT_EQ(got.reassign, want.reassign);
-  EXPECT_EQ(got.wall, want.wall);
-  EXPECT_EQ(got.imbalance, want.imbalance);
-}
 
 // --- one arm of the matrix ---------------------------------------------------
 
@@ -83,12 +47,6 @@ struct Case {
 
 constexpr Case kAllPairs{sim::Method::CaAllPairs, 0.0, 16};
 constexpr Case kCutoff{sim::Method::CaCutoff, 0.12, 32};
-
-struct RunResult {
-  std::string trace;
-  particles::Block state;
-  sim::RunReport report;
-};
 
 RunResult run_arm(const Case& cs, int threads, std::shared_ptr<vmpi::Transport> transport) {
   Sim::Config cfg;
@@ -102,33 +60,18 @@ RunResult run_arm(const Case& cs, int threads, std::shared_ptr<vmpi::Transport> 
   cfg.transport = std::move(transport);
   Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
   if (threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(threads));
-  vmpi::TraceRecorder rec;
-  s.comm().set_trace(&rec);
-  s.run(kSteps);
-  return {vmpi::serialize_trace(rec), s.gather(), s.report()};
+  return run_traced(s, kSteps);
 }
 
-void expect_run_equal(const RunResult& got, const RunResult& want) {
-  expect_state_bitwise_equal(got.state, want.state);
-  expect_report_field_equal(got.report, want.report);
-  EXPECT_EQ(got.trace, want.trace) << "full message trace diverged";
-}
-
-// --- single-endpoint backends across host thread counts ----------------------
+// --- the routed modeled backend across host thread counts --------------------
 
 void run_single_endpoint_matrix(const Case& cs) {
   const auto want = run_arm(cs, /*threads=*/1, nullptr);  // the modeled arm
   for (const int threads : {1, 2, 8}) {
-    {
-      SCOPED_TRACE(::testing::Message() << "routed modeled, " << threads << " threads");
-      expect_run_equal(run_arm(cs, threads, std::make_shared<vmpi::ModeledTransport>(cs.p)), want);
-    }
-    {
-      SCOPED_TRACE(::testing::Message() << "shmem, " << threads << " threads");
-      auto t = std::make_shared<vmpi::ShmemTransport>(cs.p);
-      expect_run_equal(run_arm(cs, threads, t), want);
-      EXPECT_GT(t->stats().frames_sent, 0u) << "the run must actually use the fabric";
-    }
+    SCOPED_TRACE(::testing::Message() << "routed modeled, " << threads << " threads");
+    auto t = std::make_shared<vmpi::ModeledTransport>(cs.p);
+    expect_run_equal(run_arm(cs, threads, t), want);
+    EXPECT_GT(t->stats().frames_sent, 0u) << "the run must actually use the fabric";
   }
 }
 
@@ -136,13 +79,12 @@ TEST(TransportParity, CaAllPairsSingleEndpointBackends) { run_single_endpoint_ma
 
 TEST(TransportParity, CaCutoffSingleEndpointBackends) { run_single_endpoint_matrix(kCutoff); }
 
-// --- the socket mesh: two process groups, SPMD lockstep, in-process ----------
+// --- the socket mesh: two process groups, owner-computes, in-process ---------
 //
-// Each group runs the FULL simulation (every process executes all p ranks;
-// locally-owned destinations adopt wire bytes, the rest keep the replicated
-// copy). Both groups must therefore finish bitwise identical to the
-// modeled arm — group 0's output is authoritative, group 1 matching too
-// pins the replication claim.
+// Each group sweeps only the ranks it owns and adopts wire bytes for them;
+// gather() then all-gathers the team blocks, so both groups must finish
+// bitwise identical to the modeled arm — group 0's output is
+// authoritative, group 1 matching too pins the gather.
 
 void run_socket_matrix(const Case& cs, int threads, double drop_rate) {
   const auto want = run_arm(cs, 1, nullptr);
@@ -172,7 +114,7 @@ void run_socket_matrix(const Case& cs, int threads, double drop_rate) {
     expect_run_equal(results[0], want);
   }
   {
-    SCOPED_TRACE("socket group 1 (replicated arm)");
+    SCOPED_TRACE("socket group 1 (gathered)");
     expect_run_equal(results[1], want);
   }
   EXPECT_GT(wire_frames[0], 0u);
@@ -196,10 +138,11 @@ TEST(TransportParity, CaCutoffSocketMeshLossyLink) {
 // --- transports compose with the modeled fault injection ---------------------
 //
 // PerturbationModel perturbs modeled *costs*; the transport moves real
-// bytes. They must stack without interfering: faulted-modeled and
-// faulted-shmem agree bitwise (including retry/timeout ledger fields).
+// bytes. They must stack without interfering: faulted-modeled and the
+// faulted routed transport agree bitwise (including retry/timeout ledger
+// fields).
 
-TEST(TransportParity, ShmemUnderFaultInjectionMatchesModeled) {
+TEST(TransportParity, RoutedModeledUnderFaultInjectionMatchesModeled) {
   auto faulted = [](std::shared_ptr<vmpi::Transport> t) {
     Sim::Config cfg;
     cfg.method = sim::Method::CaAllPairs;
@@ -217,13 +160,12 @@ TEST(TransportParity, ShmemUnderFaultInjectionMatchesModeled) {
     cfg.fault = fc;
     cfg.transport = std::move(t);
     Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
-    vmpi::TraceRecorder rec;
-    s.comm().set_trace(&rec);
-    s.run(kSteps);
-    return RunResult{vmpi::serialize_trace(rec), s.gather(), s.report()};
+    return run_traced(s, kSteps);
   };
   const auto want = faulted(nullptr);
-  expect_run_equal(faulted(std::make_shared<vmpi::ShmemTransport>(16)), want);
+  auto t = std::make_shared<vmpi::ModeledTransport>(16);
+  expect_run_equal(faulted(t), want);
+  EXPECT_GT(t->stats().frames_sent, 0u) << "the run must actually use the fabric";
 }
 
 }  // namespace

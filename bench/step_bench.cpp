@@ -17,7 +17,7 @@
 //
 // --series-out=FILE additionally runs the headline case once more with the
 // per-step flight recorder attached (obs/step_series.hpp) and writes its
-// JSON — a per-step wall/pairs/steals profile of the bench workload. This
+// JSON — a per-step wall/pairs profile of the bench workload. This
 // instrumented pass is separate from the timed windows above, so attaching
 // the recorder cannot perturb the recorded steps/sec.
 #include <chrono>
@@ -57,13 +57,9 @@ struct Case {
   double cutoff = 0.1;
   int threads = 1;
   /// Initial particle distribution: "uniform", "plummer" (dense core),
-  /// or "ring" (annulus). Clustered inputs skew the per-cell interaction
-  /// histogram — the workload the stealing scheduler exists for.
+  /// or "ring" (annulus). Clustered inputs skew the per-rank interaction
+  /// histogram, which the pool's largest-first claims balance.
   std::string dist = "uniform";
-  /// Task scheduler for the attached pool; trajectories are bitwise
-  /// identical across modes, only host wall time moves.
-  SchedMode sched = SchedMode::kStatic;
-  int steal_grain = 1;
 };
 
 struct Result {
@@ -84,8 +80,6 @@ sim::Simulation<particles::InverseSquareRepulsion> make_sim(
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.cutoff = cs.cutoff;
   cfg.dt = 1e-4;
-  cfg.sched = cs.sched;
-  cfg.steal_grain = cs.steal_grain;
   cfg.transport = std::move(transport);
   if (series_capacity > 0) {
     cfg.obs = obs::ObsLevel::Metrics;
@@ -211,7 +205,6 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
           .kv("cutoff", r.cfg.cutoff)
           .kv("threads", r.cfg.threads)
           .kv("dist", r.cfg.dist)
-          .kv("sched", to_string(r.cfg.sched))
           .kv("steps_per_sec", r.steps_per_sec);
     });
   }
@@ -273,28 +266,21 @@ int main(int argc, char** argv) {
   // per team per step) over small blocks, where the per-step host time is
   // mostly data movement, not force arithmetic.
   for (const int n : {128, 512}) cases.push_back({sim::Method::CaAllPairs, n, 64, 8, 0.0, 1});
-  // Clustered arm: Plummer core / ring annulus over the cutoff schedule,
-  // static vs stealing back-to-back from the same process, so the recorded
-  // ratio is an honest same-host comparison. Clustered inputs make per-cell
-  // interaction counts wildly non-uniform — the static partition load-
-  // imbalances and stealing rebalances (on multi-core hosts; a 1-core host
-  // records the scheduling overhead honestly instead).
+  // Clustered arm: Plummer core / ring annulus over the cutoff schedule.
+  // Clustered inputs make per-rank interaction counts wildly non-uniform,
+  // so these rows measure how well the pool balances skewed task lists.
   for (const std::string& dist : {std::string("plummer"), std::string("ring")}) {
-    for (const int threads : {4, 8}) {
-      for (const SchedMode sched : {SchedMode::kStatic, SchedMode::kStealing}) {
-        cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, threads, dist, sched, 2});
-      }
-    }
+    for (const int threads : {4, 8})
+      cases.push_back({sim::Method::CaCutoff, 4096, 64, 2, 0.1, threads, dist});
   }
 
   std::vector<Result> results;
-  std::cout << "method        n      p    c  thr  dist     sched    steps/s\n";
+  std::cout << "method        n      p    c  thr  dist     steps/s\n";
   for (const auto& cs : cases) {
     Result r{cs, measure_steps_per_sec(cs, min_ms, repeats)};
     results.push_back(r);
-    std::printf("%-13s %-6d %-4d %-2d %-4d %-8s %-8s %.2f\n", sim::method_name(cs.method),
-                cs.n, cs.p, cs.c, cs.threads, cs.dist.c_str(), to_string(cs.sched),
-                r.steps_per_sec);
+    std::printf("%-13s %-6d %-4d %-2d %-4d %-8s %.2f\n", sim::method_name(cs.method), cs.n,
+                cs.p, cs.c, cs.threads, cs.dist.c_str(), r.steps_per_sec);
   }
   write_json(out_path, results, socket_results, min_ms, repeats);
   std::cout << "wrote " << out_path << "\n";

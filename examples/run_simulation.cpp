@@ -13,17 +13,15 @@
 //                 plummer | ring
 //   --cutoff      cutoff radius (required by the cutoff methods)
 //   --restart     resume from a checkpoint written by --checkpoint
-//   --threads     host threads for the force loops (ca methods);
-//                 0 = auto-detect (std::thread::hardware_concurrency)
-//   --sched       static | stealing host task scheduler for those threads
-//                 (support/parallel.hpp); outputs are bitwise identical
-//                 either way — stealing only rebalances execution
-//   --steal-grain tasks clipped per steal (stealing mode; default 1)
+//   --threads     host threads for the force loops (ca methods), at most
+//                 512; 0 = auto-detect (std::thread::hardware_concurrency).
+//                 The pool claims each step's per-rank tasks largest
+//                 first (support/parallel.hpp); outputs are bitwise
+//                 identical at every thread count
 //   --tune        off | auto | force host autotuning (core/host_tuner.hpp):
 //                 auto calibrates (or reuses --tune-cache) and installs the
-//                 fastest {SIMD backend, threads, scheduler} for the force
-//                 sweep; force always re-calibrates. Virtual time is
-//                 unchanged.
+//                 fastest {SIMD backend, threads} for the force sweep;
+//                 force always re-calibrates. Virtual time is unchanged.
 //   --tune-cache  path to the persisted tuning cache (docs/TUNING.md)
 //
 // Real transport (docs/TRANSPORT.md). The modeled default moves bytes
@@ -164,12 +162,11 @@ using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 
 const std::vector<std::string> kOptions = {
     "method", "machine", "workload", "n", "p", "c", "steps", "dt", "cutoff", "seed", "xyz",
-    "csv", "checkpoint", "restart", "report", "rdf", "threads", "sched", "steal-grain",
-    "integrator", "tune", "tune-cache", "fault-seed", "straggler", "jitter", "drop-rate",
-    "link-degrade", "obs-level", "metrics-out", "trace-out", "spans-csv", "serve",
-    "serve-linger", "series-out", "series-capacity", "straggler-factor", "transport",
-    "transport-groups", "transport-group", "transport-dir", "transport-drop",
-    "transport-drop-seed", "help"};
+    "csv", "checkpoint", "restart", "report", "rdf", "threads", "integrator", "tune",
+    "tune-cache", "fault-seed", "straggler", "jitter", "drop-rate", "link-degrade",
+    "obs-level", "metrics-out", "trace-out", "spans-csv", "serve", "serve-linger",
+    "series-out", "series-capacity", "straggler-factor", "transport", "transport-groups",
+    "transport-group", "transport-dir", "transport-drop", "transport-drop-seed", "help"};
 
 /// Everything the options decide, parsed and validated before any process
 /// is forked or any simulation state is built.
@@ -207,13 +204,6 @@ RunPlan plan_run(const CliArgs& args) {
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.integrator = args.get("integrator", "velocity-verlet");
   {
-    const auto sched = parse_sched_mode(args.get("sched", "static"));
-    CANB_REQUIRE(sched.has_value(), "unknown --sched (static | stealing)");
-    cfg.sched = *sched;
-    cfg.steal_grain = static_cast<int>(args.get_int("steal-grain", 1));
-    CANB_REQUIRE(cfg.steal_grain >= 1, "--steal-grain must be >= 1");
-  }
-  {
     const auto tune = sim::parse_tune_mode(args.get("tune", "off"));
     CANB_REQUIRE(tune.has_value(), "unknown --tune (off | auto | force)");
     cfg.tune = *tune;
@@ -221,15 +211,13 @@ RunPlan plan_run(const CliArgs& args) {
     CANB_REQUIRE(cfg.tune_cache.empty() || cfg.tune != sim::TuneMode::Off,
                  "--tune-cache needs --tune=auto or force");
     cfg.tune_distribution = tune_distribution_for(args.get("workload", "uniform"));
-    // An explicit --sched wins over whatever the tuner would install.
-    CANB_REQUIRE(!args.has("sched") || cfg.tune == sim::TuneMode::Off,
-                 "--sched conflicts with --tune (the tuner picks the scheduler)");
   }
   plan.n = static_cast<int>(args.get_int("n", 512));
   plan.steps = static_cast<int>(args.get_int("steps", 50));
   plan.seed = static_cast<std::uint64_t>(args.get_int("seed", 2013));
   plan.threads = static_cast<int>(args.get_int("threads", 1));
-  CANB_REQUIRE(plan.threads >= 0, "--threads must be >= 0");
+  CANB_REQUIRE(plan.threads >= 0 && plan.threads <= ThreadPool::kMaxThreads,
+               "--threads must be in [0, " + std::to_string(ThreadPool::kMaxThreads) + "]");
   plan.serve_linger = args.get_double("serve-linger", 0.0);
 
   // Real transport selection (the socket arm forks later, in run()).
@@ -381,10 +369,7 @@ int run(const CliArgs& args, RunPlan plan) {
   Sim& simulation = *simulation_ptr;
   if (const auto& tuned = simulation.tuned(); primary && tuned.has_value()) {
     std::cout << "host tuner: simd=" << particles::simd::backend_name(particles::simd::active())
-              << " threads=" << tuned->threads << " sched=" << to_string(tuned->sched)
-              << (tuned->sched == SchedMode::kStealing
-                      ? "/grain" + std::to_string(tuned->steal_grain)
-                      : "")
+              << " threads=" << tuned->threads
               << (tuned->from_cache ? " (cached)" : " (calibrated)") << "\n";
   }
   int threads = plan.threads;
@@ -395,7 +380,8 @@ int run(const CliArgs& args, RunPlan plan) {
   if (threads == 0) {
     // --threads=0: use every hardware thread (minimum 1 when the runtime
     // cannot tell, which hardware_concurrency signals by returning 0).
-    threads = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+    threads = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
+                         ThreadPool::kMaxThreads);
     if (primary) std::cout << "auto-detected " << threads << " host threads\n";
   }
   if (threads > 1) simulation.set_host_pool(std::make_shared<ThreadPool>(threads));

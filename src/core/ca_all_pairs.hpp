@@ -253,7 +253,7 @@ class CaAllPairs {
           policy_.interact(resident_[static_cast<std::size_t>(r)], carried.buf, same);
       // Per-rank ledger rows and clocks are disjoint: safe across threads
       // in any execution order (the telemetry sweep accumulators follow the
-      // same per-rank rule), so static and stealing schedules produce
+      // same per-rank rule), so every thread count produces
       // bitwise-identical artifacts.
       vc_.charge_interactions(r, static_cast<double>(stats.examined));
       if (telem_ != nullptr && telem_->enabled())

@@ -280,15 +280,20 @@ class CaCutoff {
       rs.off = geom.slot_offset(s);
       rs.self = rs.off == TeamOffset{};
     }
-    auto rank_body = [&](int r) {
+    // Whether rank r's slot has a partner team: in the window and, under
+    // reflective boundaries, on the team grid.
+    auto has_partner = [&](int r) {
       const auto& rs = rows_[static_cast<std::size_t>(r / q)];
-      if (!rs.in_window) return;
-      if (!cfg_.periodic) {
-        const int ox = tx_[static_cast<std::size_t>(r)] + rs.off.x;
-        const int oy = ty_[static_cast<std::size_t>(r)] + rs.off.y;
-        const int oz = tz_[static_cast<std::size_t>(r)] + rs.off.z;
-        if (ox < 0 || ox >= qx || oy < 0 || oy >= qy || oz < 0 || oz >= qz) return;
-      }
+      if (!rs.in_window) return false;
+      if (cfg_.periodic) return true;
+      const int ox = tx_[static_cast<std::size_t>(r)] + rs.off.x;
+      const int oy = ty_[static_cast<std::size_t>(r)] + rs.off.y;
+      const int oz = tz_[static_cast<std::size_t>(r)] + rs.off.z;
+      return ox >= 0 && ox < qx && oy >= 0 && oy < qy && oz >= 0 && oz < qz;
+    };
+    auto rank_body = [&](int r) {
+      if (!has_partner(r)) return;
+      const auto& rs = rows_[static_cast<std::size_t>(r / q)];
       if (!vc_.resident(r)) {
         // Owner-computes: charge the owner's sweep from block sizes alone
         // (non-resident sizes are maintained by every primitive) and skip
@@ -303,21 +308,21 @@ class CaCutoff {
       const auto stats = policy_.interact(resident_[static_cast<std::size_t>(r)],
                                           carried_[static_cast<std::size_t>(r)], rs.self);
       // Per-rank ledger rows and telemetry sweep slots are disjoint: safe
-      // across pool threads in any execution order, so both static and
-      // stealing schedules leave every artifact bitwise identical.
+      // across pool threads in any execution order, so every thread count
+      // leaves every artifact bitwise identical.
       vc_.charge_interactions(r, static_cast<double>(stats.examined));
       if (telem_ != nullptr && telem_->enabled())
         telem_->on_sweep(r, stats.examined, stats.computed);
     };
     if (pool_) {
       // Cost hints: the spatial interaction histogram (resident x carried
-      // block sizes) per rank. Clustered distributions skew these by orders
-      // of magnitude — exactly what the stealing partition corrects.
+      // block sizes) per rank, 0 for a rank whose body sweeps nothing (no
+      // partner team, or not resident here). Clustered distributions skew
+      // these by orders of magnitude; the pool claims the largest first.
       cost_.resize(static_cast<std::size_t>(cfg_.p));
       for (int r = 0; r < cfg_.p; ++r) {
-        const auto& rs = rows_[static_cast<std::size_t>(r / q)];
         cost_[static_cast<std::size_t>(r)] =
-            rs.in_window && vc_.resident(r)
+            has_partner(r) && vc_.resident(r)
                 ? static_cast<double>(Policy::count(resident_[static_cast<std::size_t>(r)])) *
                       static_cast<double>(Policy::count(carried_[static_cast<std::size_t>(r)]))
                 : 0.0;

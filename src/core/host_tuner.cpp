@@ -120,24 +120,20 @@ bool field_number(std::string_view obj, std::string_view key, double& out) {
   return static_cast<bool>(is >> out);
 }
 
-/// Parses one entry object's text; false rejects the whole file. Every v3
+/// Parses one entry object's text; false rejects the whole file. Every v4
 /// field is mandatory — a truncated or hand-pruned entry fails closed.
 bool parse_entry(std::string_view obj, HostTuneEntry& e) {
-  double n = 0.0, threads = 0.0, grain = 0.0, rate = 0.0;
+  double n = 0.0, threads = 0.0, rate = 0.0;
   if (!field_string(obj, "kernel", e.kernel)) return false;
   if (!field_number(obj, "n", n) || n < 2.0) return false;
   if (!field_number(obj, "threads", threads) || threads < 1.0) return false;
   if (!field_string(obj, "backend", e.backend)) return false;
   if (!particles::simd::parse_backend(e.backend)) return false;
-  if (!field_string(obj, "sched", e.sched)) return false;
-  if (!parse_sched_mode(e.sched)) return false;
-  if (!field_number(obj, "steal_grain", grain) || grain < 1.0) return false;
   if (!field_string(obj, "distribution", e.distribution) || e.distribution.empty())
     return false;
   if (!field_number(obj, "pairs_per_sec", rate)) return false;
   e.n = static_cast<std::uint64_t>(n);
   e.threads = static_cast<int>(threads);
-  e.steal_grain = static_cast<int>(grain);
   e.pairs_per_sec = rate;
   return true;
 }
@@ -208,9 +204,6 @@ bool TuningCache::save(const std::string& path) const {
     out += ", \"threads\": " + std::to_string(e.threads);
     out += ", \"backend\": ";
     append_json_string(out, e.backend);
-    out += ", \"sched\": ";
-    append_json_string(out, e.sched);
-    out += ", \"steal_grain\": " + std::to_string(e.steal_grain);
     out += ", \"distribution\": ";
     append_json_string(out, e.distribution);
     char rate[40];
@@ -251,9 +244,6 @@ HostTuneChoice choice_from_entry(const HostTuneEntry& e) {
   c.backend = parsed ? std::min(*parsed, particles::simd::max_supported())
                      : particles::simd::Backend::Scalar;
   c.threads = e.threads < 1 ? 1 : e.threads;
-  const auto sched = parse_sched_mode(e.sched);
-  c.sched = sched ? *sched : SchedMode::kStatic;
-  c.steal_grain = e.steal_grain < 1 ? 1 : e.steal_grain;
   c.pairs_per_sec = e.pairs_per_sec;
   c.from_cache = true;
   return c;
@@ -266,8 +256,6 @@ HostTuneEntry entry_from_choice(std::string kernel, std::uint64_t n, std::string
   e.n = n;
   e.threads = c.threads;
   e.backend = particles::simd::backend_name(c.backend);
-  e.sched = to_string(c.sched);
-  e.steal_grain = c.steal_grain;
   e.distribution = std::move(distribution);
   e.pairs_per_sec = c.pairs_per_sec;
   return e;

@@ -3,11 +3,11 @@
 // core::Autotuner picks the replication factor c by evaluating candidate
 // schedules on the *virtual* machine model. HostTuner is its host-side
 // sibling: it picks the knobs that change only host wall time — the SIMD
-// backend of the resident force sweep (particles/sweep.hpp), the host
-// thread count, and the task scheduler — by timing that sweep on real
-// SoaBlocks. Nothing here reads or writes the virtual cost model; every
-// backend of the sweep is bitwise identical, so applying any choice this
-// tuner makes leaves ledgers, traces, and trajectories unchanged.
+// backend of the resident force sweep (particles/sweep.hpp) and the host
+// thread count — by timing that sweep on real SoaBlocks. Nothing here
+// reads or writes the virtual cost model; every backend of the sweep is
+// bitwise identical, so applying any choice this tuner makes leaves
+// ledgers, traces, and trajectories unchanged.
 //
 // Decisions persist to a small JSON cache keyed by CPU + build
 // (TuningCache), so repeat runs skip the calibration; a key mismatch
@@ -42,27 +42,23 @@ struct HostTuneEntry {
   std::uint64_t n = 0;
   int threads = 1;
   std::string backend = "scalar";
-  /// Host scheduler over per-rank/per-cell tasks: "static" or "stealing"
-  /// (support/parallel.hpp). Execution order only — results are bitwise
-  /// identical either way, so applying a cached value is always safe.
-  std::string sched = "static";
-  int steal_grain = 1;  ///< tasks clipped per steal under "stealing"
   /// Workload shape the entry was calibrated on ("uniform", "plummer",
-  /// "ring", "clusters"): clustered inputs pick different schedulers than
-  /// uniform ones, so the cache keys on it.
+  /// "ring", "clusters"): it shapes the calibration block, so the cache
+  /// keys on it.
   std::string distribution = "uniform";
   double pairs_per_sec = 0.0;  ///< measured throughput of the choice
 };
 
 /// The JSON tuning cache. Format (docs/TUNING.md):
-///   { "schema": "canb-host-tuning-v3", "machine": "...", "build": "...",
+///   { "schema": "canb-host-tuning-v4", "machine": "...", "build": "...",
 ///     "entries": [ { "kernel": ..., "n": ..., ... } ] }
-/// Older files (v1: no scheduler/distribution fields; v2: engine, tile,
-/// half-sweep and inline-lane knobs) fail the schema check and are
-/// discarded whole — the cost is one re-tune, never a misapplied knob.
+/// Older files (v1: no distribution field; v2: engine, tile, half-sweep
+/// and inline-lane knobs; v3: scheduler mode and steal grain) fail the
+/// schema check and are discarded whole — the cost is one re-tune, never
+/// a misapplied knob.
 class TuningCache {
  public:
-  static constexpr const char* kSchema = "canb-host-tuning-v3";
+  static constexpr const char* kSchema = "canb-host-tuning-v4";
 
   /// CPU identity: /proc/cpuinfo model name (or "unknown-cpu") plus the
   /// widest SIMD backend, so a binary migrated to a narrower machine
@@ -96,16 +92,11 @@ class TuningCache {
 };
 
 /// A tuning decision in applied form. The caller is responsible for
-/// installing it (simd::set_backend, host pool size and scheduler) — the
-/// tuner itself restores all global state after calibration.
+/// installing it (simd::set_backend, host pool size) — the tuner itself
+/// restores all global state after calibration.
 struct HostTuneChoice {
   particles::simd::Backend backend = particles::simd::Backend::Scalar;
   int threads = 1;
-  /// Scheduler for the host pool's task loops. Advisory like `threads`:
-  /// the caller installs it on the pool it attaches (set_sched_mode /
-  /// set_steal_grain). Never changes results, only execution order.
-  SchedMode sched = SchedMode::kStatic;
-  int steal_grain = 1;
   double pairs_per_sec = 0.0;
   bool from_cache = false;
 };
@@ -135,8 +126,8 @@ class HostTuner {
     int max_threads = 0;           ///< thread candidates up to this (0 = hardware)
     std::uint64_t seed = 1234;     ///< calibration particle placement
     /// Workload shape to calibrate on: "uniform" (default), "plummer",
-    /// "ring", or "clusters". Shapes the calibration block AND the skew of
-    /// the scheduler trial's per-task loads, and keys the cache entry.
+    /// "ring", or "clusters". Shapes the calibration block and keys the
+    /// cache entry.
     std::string distribution = "uniform";
   };
 
@@ -181,7 +172,6 @@ class HostTuner {
     }
 
     result.best.threads = tune_threads(result.best);
-    tune_sched(result.best);
 
     simd::set_backend(saved_backend);
     return result;
@@ -240,6 +230,7 @@ class HostTuner {
   int tune_threads(const HostTuneChoice& sweep_choice) const {
     int hw = cfg_.max_threads;
     if (hw <= 0) hw = static_cast<int>(std::thread::hardware_concurrency());
+    hw = std::min(hw, ThreadPool::kMaxThreads);
     if (hw <= 1) return 1;
     particles::simd::set_backend(sweep_choice.backend);
 
@@ -269,56 +260,6 @@ class HostTuner {
       }
     }
     return best_t;
-  }
-
-  /// Picks the scheduler (static vs stealing, and the steal grain) by
-  /// timing parallel_tasks over x-slab sub-blocks of a distribution-shaped
-  /// workload — the same task shape and cost-hint skew the engines submit.
-  /// Serial pools keep the static default: there is nobody to steal from.
-  void tune_sched(HostTuneChoice& choice) const {
-    choice.sched = SchedMode::kStatic;
-    choice.steal_grain = 1;
-    if (choice.threads <= 1) return;
-    particles::simd::set_backend(choice.backend);
-
-    const int tasks = std::max(8, 4 * choice.threads);
-    const int total = static_cast<int>(std::min<std::uint64_t>(cfg_.n * 4, 8192));
-    const particles::Block all = make_block(std::max(total, 2 * tasks));
-    // Slab split along x: clustered distributions concentrate most
-    // particles (hence ~quadratic sweep cost) in a few slabs, which is
-    // exactly the imbalance stealing exists to absorb.
-    std::vector<particles::SoaBlock> slabs(static_cast<std::size_t>(tasks));
-    for (const particles::Particle& p : all) {
-      int s = static_cast<int>(static_cast<double>(p.px) / cfg_.box.lx *
-                               static_cast<double>(tasks));
-      slabs[static_cast<std::size_t>(std::clamp(s, 0, tasks - 1))].push_back(p);
-    }
-    std::vector<double> cost(static_cast<std::size_t>(tasks));
-    for (int t = 0; t < tasks; ++t) {
-      const double ns = static_cast<double>(slabs[static_cast<std::size_t>(t)].size());
-      cost[static_cast<std::size_t>(t)] = ns * ns;
-    }
-    ThreadPool pool(choice.threads);
-    const auto rate_of = [&](SchedMode mode, int grain) {
-      pool.set_sched_mode(mode);
-      pool.set_steal_grain(grain);
-      const auto call = [&] {
-        pool.parallel_tasks(
-            tasks, [&](int t, int) { sweep_self(slabs[static_cast<std::size_t>(t)]); },
-            cost.data());
-      };
-      return 1.0 / time_call(call, cfg_.sample_seconds);
-    };
-
-    double best = rate_of(SchedMode::kStatic, 1);
-    for (const int grain : {1, 2, 4}) {
-      const double rate = rate_of(SchedMode::kStealing, grain);
-      if (rate > best) {
-        best = rate;
-        choice.sched = SchedMode::kStealing;
-        choice.steal_grain = grain;
-      }
-    }
   }
 
   template <class F>

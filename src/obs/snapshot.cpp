@@ -32,9 +32,9 @@ bool process_local_metric(std::string_view family_name) noexcept {
   // only its owned ranks); everything else is an SPMD replica of the
   // virtual cost plane that only group 0 exports.
   static constexpr std::string_view kPrefixes[] = {
-      "canb_transport_", "canb_sched_",        "canb_steal_total",
-      "canb_worker_",    "canb_tasks_per_worker", "canb_host_phase_seconds",
-      "canb_sweep_",     "canb_local_ranks",
+      "canb_transport_", "canb_sched_",       "canb_worker_",
+      "canb_tasks_per_worker", "canb_host_phase_seconds", "canb_sweep_",
+      "canb_local_ranks",
   };
   for (const auto p : kPrefixes) {
     if (family_name.substr(0, p.size()) == p) return true;

@@ -1,7 +1,7 @@
 // StepSeries: the per-step flight recorder.
 //
 // A fixed-capacity ring of StepSample rows — HOST wall seconds, virtual
-// clock advance, sweep pair counts, steals, retransmits, host data-plane
+// clock advance, sweep pair counts, retransmits, host data-plane
 // seconds — recorded once per timestep. The ring bounds memory for
 // arbitrarily long runs; when it wraps, the oldest rows fall off and the
 // exported JSON says how many were recorded in total.
@@ -32,7 +32,6 @@ struct StepSample {
   double clock_advance_seconds = 0.0;  ///< max virtual clock delta this step
   std::uint64_t pairs_examined = 0;    ///< sweep pairs accounted (ledger unit)
   std::uint64_t pairs_computed = 0;    ///< pair evaluations the host executed
-  std::uint64_t steals = 0;            ///< scheduler steal ops during the step
   std::uint64_t retransmits = 0;       ///< transport retransmits during the step
   double host_phase_seconds = 0.0;     ///< data-plane seconds during the step
   bool straggler = false;              ///< flagged against the rolling median

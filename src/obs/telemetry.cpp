@@ -124,18 +124,13 @@ void Telemetry::publish_scheduler(std::string_view mode, const SchedulerStats& s
       .inc(stats.calls - last_sched_calls_);
   registry_.counter("canb_sched_tasks_total", with_group({}), "tasks executed across all workers")
       .inc(stats.tasks - last_sched_tasks_);
-  registry_
-      .counter("canb_steal_total", with_group({}),
-               "steal operations (batches clipped from another worker's deque)")
-      .inc(stats.steals - last_sched_steals_);
   last_sched_calls_ = stats.calls;
   last_sched_tasks_ = stats.tasks;
-  last_sched_steals_ = stats.steals;
   for (std::size_t w = 0; w < stats.tasks_per_worker.size(); ++w) {
     const Labels labels = with_group({{"worker", std::to_string(w)}});
     registry_
         .gauge("canb_tasks_per_worker", labels,
-               "tasks this worker executed (own + stolen); HOST wall accounting")
+               "tasks this worker executed; HOST wall accounting")
         .set(static_cast<double>(stats.tasks_per_worker[w]));
     registry_
         .gauge("canb_worker_busy_seconds", labels,

@@ -90,7 +90,7 @@ class Telemetry final : public vmpi::CommObserver {
   int group() const noexcept { return group_; }
 
   /// Publishes host scheduler counters from a ThreadPool's SchedulerStats
-  /// (support/parallel.hpp): canb_steal_total, canb_sched_tasks_total,
+  /// (support/parallel.hpp): canb_sched_tasks_total,
   /// canb_sched_calls_total, per-worker task/busy/idle series, and a
   /// canb_sched_info{mode=...} marker gauge. Host wall-time observability
   /// only — nothing here reads back into the simulation. Safe to call every
@@ -194,7 +194,6 @@ class Telemetry final : public vmpi::CommObserver {
   vmpi::TransportStats last_transport_{};
   std::uint64_t last_sched_calls_ = 0;
   std::uint64_t last_sched_tasks_ = 0;
-  std::uint64_t last_sched_steals_ = 0;
 };
 
 }  // namespace canb::obs

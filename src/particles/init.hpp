@@ -39,7 +39,7 @@ Block init_two_stream(int n, const Box& box, double drift, double thermal, std::
 /// the box redraw (deterministically). The canonical clustered workload —
 /// most mass inside ~1.3a with a thin far tail, so spatial decompositions
 /// see a dense-core interaction histogram orders of magnitude above the
-/// mean (the work-stealing bench input).
+/// mean (the clustered bench input).
 Block init_plummer(int n, const Box& box, double core_radius_fraction, std::uint64_t seed,
                    double speed_scale = 0.0);
 

@@ -82,10 +82,17 @@ Table make_table(std::span<const RunReport> reports) {
   }
   Table t(std::move(cols));
   for (const auto& r : reports) {
-    std::vector<Cell> row{r.label, static_cast<long long>(r.p),
-                                 static_cast<long long>(r.c), r.total(), r.compute,
-                                 r.broadcast, r.skew, r.shift, r.reduce, r.reassign,
-                                 r.messages, r.bytes / 1024.0, r.imbalance};
+    // Cells are appended one at a time: GCC 12 misreports the string
+    // alternative as uninitialized when a vector<Cell> is copied out of a
+    // braced list of mixed cells (-Wmaybe-uninitialized at -O2).
+    std::vector<Cell> row;
+    row.reserve(18);
+    row.emplace_back(r.label);
+    row.emplace_back(static_cast<long long>(r.p));
+    row.emplace_back(static_cast<long long>(r.c));
+    for (const double v : {r.total(), r.compute, r.broadcast, r.skew, r.shift, r.reduce,
+                           r.reassign, r.messages, r.bytes / 1024.0, r.imbalance})
+      row.emplace_back(v);
     if (degraded) {
       row.push_back(r.retries);
       row.push_back(r.timeouts);

@@ -57,7 +57,7 @@ constexpr bool runs_over_transport(Method m) noexcept {
 
 /// Host autotuning mode (core/host_tuner.hpp).
 enum class TuneMode {
-  Off,    ///< apply Config::sched / steal_grain and the SIMD dispatch as given
+  Off,    ///< keep the SIMD dispatch as given
   Auto,   ///< use a cached decision when present, calibrate on a miss
   Force,  ///< always re-calibrate and overwrite the cache entry
 };
@@ -98,17 +98,12 @@ class Simulation {
     double cutoff = 0.0;  ///< required > 0 for Method::CaCutoff
     double dt = 1e-3;
     std::string integrator = "velocity-verlet";
-    /// Host task scheduler for the attached pool (support/parallel.hpp):
-    /// installed on the pool by set_host_pool. Execution order only —
-    /// trajectories, ledgers, and traces are bitwise identical under
-    /// static and stealing (property-tested). Overwritten by the tuner
-    /// when `tune` is not Off.
-    SchedMode sched = SchedMode::kStatic;
-    /// Max tasks clipped per steal (stealing mode only; clamped >= 1).
-    int steal_grain = 1;
-    /// Host autotuning. Off leaves `sched`/`steal_grain`/SIMD dispatch
-    /// exactly as configured; Auto/Force run core::HostTuner at
-    /// construction and install its choice (scheduler, SIMD backend).
+    /// The host pool's one task discipline (support/parallel.hpp). A
+    /// constant, not a setting; perfbench's provenance line reads it.
+    static constexpr SchedMode sched = SchedMode::kLargestFirst;
+    /// Host autotuning. Off leaves the SIMD dispatch exactly as
+    /// configured; Auto/Force run core::HostTuner at construction and
+    /// install its SIMD backend.
     /// The tuned thread count is reported via tuned() — attaching a pool
     /// is still the caller's call (set_host_pool).
     TuneMode tune = TuneMode::Off;
@@ -255,15 +250,10 @@ class Simulation {
   }
 
   /// Attaches a host thread pool to engines that support parallel force
-  /// loops (the CA engines); a no-op for the simple baselines. Installs
-  /// the configured (or tuned) scheduler mode and steal grain on the pool
-  /// and keeps a reference so finalize_telemetry can publish its stats.
+  /// loops (the CA engines); a no-op for the simple baselines. Keeps a
+  /// reference so finalize_telemetry can publish the pool's stats.
   void set_host_pool(std::shared_ptr<ThreadPool> pool) {
-    if (pool) {
-      pool->set_sched_mode(cfg_.sched);
-      pool->set_steal_grain(cfg_.steal_grain);
-      pool_ = pool;
-    }
+    if (pool) pool_ = pool;
     std::visit(
         [&](auto& e) {
           if constexpr (requires { e.set_host_pool(pool); }) e.set_host_pool(std::move(pool));
@@ -283,7 +273,6 @@ class Simulation {
       sample.clock_advance_seconds = max_virtual_clock();
       sample.pairs_examined = telemetry_->sweep_pairs_examined();
       sample.pairs_computed = telemetry_->sweep_pairs_computed();
-      sample.steals = pool_ ? pool_->scheduler_stats().steals : 0;
       sample.retransmits = cfg_.transport ? cfg_.transport->stats().retransmits : 0;
       sample.host_phase_seconds = telemetry_->host_seconds();
     }
@@ -300,7 +289,6 @@ class Simulation {
         sample.clock_advance_seconds = max_virtual_clock() - sample.clock_advance_seconds;
         sample.pairs_examined = telemetry_->sweep_pairs_examined() - sample.pairs_examined;
         sample.pairs_computed = telemetry_->sweep_pairs_computed() - sample.pairs_computed;
-        sample.steals = (pool_ ? pool_->scheduler_stats().steals : 0) - sample.steals;
         sample.retransmits =
             (cfg_.transport ? cfg_.transport->stats().retransmits : 0) - sample.retransmits;
         sample.host_phase_seconds = telemetry_->host_seconds() - sample.host_phase_seconds;
@@ -450,9 +438,10 @@ class Simulation {
       std::variant<CaAllPairsT, CaCutoffT, SpatialHaloT, MidpointT, RingT, AllGatherT, ForceT>;
 
   /// Runs the host tuner when Config::tune asks for it and installs the
-  /// winning choice into `cfg` (scheduler) and the process SIMD dispatch.
+  /// winning SIMD backend into the process dispatch.
   /// Runs before make_engine so the first sweep already uses the backend.
-  static std::optional<core::HostTuneChoice> maybe_tune(Config& cfg, std::size_t total_n) {
+  static std::optional<core::HostTuneChoice> maybe_tune(const Config& cfg,
+                                                        std::size_t total_n) {
     if (cfg.tune == TuneMode::Off) return std::nullopt;
     // Calibrate at the per-rank resident block size the sweeps will see.
     int q = cfg.p;
@@ -478,8 +467,6 @@ class Simulation {
       result = tuner.tune_with_cache(cache, cfg.tune == TuneMode::Force);
       if (!result.candidates.empty()) cache.save(cfg.tune_cache);  // measured fresh
     }
-    cfg.sched = result.best.sched;
-    cfg.steal_grain = result.best.steal_grain;
     particles::simd::set_backend(result.best.backend);
     return result.best;
   }
@@ -589,7 +576,7 @@ class Simulation {
   void publish_live() {
     if (!telemetry_) return;
     if (pool_) {
-      telemetry_->publish_scheduler(to_string(pool_->sched_mode()), pool_->scheduler_stats());
+      telemetry_->publish_scheduler(to_string(Config::sched), pool_->scheduler_stats());
     }
     if (cfg_.transport) {
       telemetry_->publish_transport(vmpi::transport_kind_name(cfg_.transport->kind()),
@@ -638,8 +625,8 @@ class Simulation {
   }
 
   Config cfg_;
-  /// Declared before engine_: maybe_tune edits cfg_ (and the SIMD dispatch)
-  /// before make_engine constructs the policy from it.
+  /// Declared before engine_: maybe_tune installs the SIMD dispatch
+  /// before make_engine builds the engine's first sweep on it.
   std::optional<core::HostTuneChoice> tuned_;
   EngineVariant engine_;
   /// Owned here (heap) so the pointer held by the engine's VirtualComm

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <numeric>
+#include <string>
 
 #include "support/assert.hpp"
-#include "support/rng.hpp"
 
 namespace canb {
 
@@ -18,28 +20,29 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0,
 
 }  // namespace
 
-const char* to_string(SchedMode mode) noexcept {
-  return mode == SchedMode::kStealing ? "stealing" : "static";
-}
+const char* to_string(SchedMode) noexcept { return "largest-first"; }
 
-std::optional<SchedMode> parse_sched_mode(std::string_view name) noexcept {
-  if (name == "static") return SchedMode::kStatic;
-  if (name == "stealing") return SchedMode::kStealing;
-  return std::nullopt;
-}
-
-ThreadPool::ThreadPool(int threads, std::uint64_t steal_seed) : steal_seed_(steal_seed) {
-  CANB_REQUIRE(threads >= 0, "thread count must be non-negative");
+ThreadPool::ThreadPool(int threads) {
+  CANB_REQUIRE(threads >= 0 && threads <= kMaxThreads,
+               "thread count must be in [0, " + std::to_string(kMaxThreads) + "]");
   const int extra = threads <= 1 ? 0 : threads - 1;  // caller thread works too
   tasks_.resize(static_cast<std::size_t>(extra));
-  queues_ = std::vector<WorkerQueue>(static_cast<std::size_t>(extra) + 1);
   stats_ = std::vector<WorkerStats>(static_cast<std::size_t>(extra) + 1);
   workers_.reserve(static_cast<std::size_t>(extra));
-  for (int i = 0; i < extra; ++i)
-    workers_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
+  try {
+    for (int i = 0; i < extra; ++i)
+      workers_.emplace_back([this, i] { worker_loop(static_cast<std::size_t>(i)); });
+  } catch (...) {
+    // Destroying a joinable std::thread terminates the process: join the
+    // workers that did start, then report the failed spawn.
+    stop_workers();
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_workers(); }
+
+void ThreadPool::stop_workers() noexcept {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -113,50 +116,37 @@ void ThreadPool::run_tasks(int tasks, RawTaskFn fn, void* ctx, const double* cos
   }
 
   // A worker's idle time in this call is the call's wall minus its busy
-  // time: the wait after its own tasks run out counts, not only steal probes.
+  // time: the wait after the cursor runs dry counts, not only the claims.
   const auto call_start = std::chrono::steady_clock::now();
 
-  // Initial contiguous partition over [0, tasks). Static mode reproduces
-  // the historical equal-index chunks exactly; stealing mode additionally
-  // cost-weights the cut points when hints are given, so the deques start
-  // near-balanced and stealing only has to correct the residual skew.
-  const int parts = thread_count();
-  const bool stealing = mode_ == SchedMode::kStealing;
-  if (stealing && cost != nullptr) {
-    double total = 0.0;
-    for (int t = 0; t < tasks; ++t) total += cost[t] > 0.0 ? cost[t] : 0.0;
-    if (total <= 0.0) total = static_cast<double>(tasks);
-    double cum = 0.0;
-    int t = 0;
-    for (int w = 0; w < parts; ++w) {
-      const int b = t;
-      const double target = total * static_cast<double>(w + 1) / static_cast<double>(parts);
-      while (t < tasks && (cum < target || t == b)) {
-        cum += cost[t] > 0.0 ? cost[t] : total / static_cast<double>(tasks);
-        ++t;
-      }
-      // Leave at least one task for each remaining worker when possible.
-      const int remaining_workers = parts - 1 - w;
-      if (tasks - t < remaining_workers && t > b)
-        t = std::max(b, tasks - remaining_workers);
-      queues_[static_cast<std::size_t>(w)].head = b;
-      queues_[static_cast<std::size_t>(w)].tail = w + 1 == parts ? tasks : t;
-    }
-  } else {
-    const int chunk = (tasks + parts - 1) / parts;
-    for (int w = 0; w < parts; ++w) {
-      const int b = std::min(tasks, w * chunk);
-      queues_[static_cast<std::size_t>(w)].head = b;
-      queues_[static_cast<std::size_t>(w)].tail = std::min(tasks, b + chunk);
-    }
+  // Claim order: descending hint, ties by ascending index. Clamping bad
+  // hints to 0 keeps the comparator a strict weak ordering. std::sort
+  // works in place, so a warmed call allocates nothing (stable_sort would
+  // take a temporary buffer).
+  const int* order = nullptr;
+  if (cost != nullptr) {
+    order_.resize(static_cast<std::size_t>(tasks));
+    std::iota(order_.begin(), order_.end(), 0);
+    const auto hint = [cost](int t) {
+      const double h = cost[t];
+      return h > 0.0 && h <= std::numeric_limits<double>::max() ? h : 0.0;
+    };
+    std::sort(order_.begin(), order_.end(), [&hint](int a, int b) {
+      const double ha = hint(a);
+      const double hb = hint(b);
+      return ha != hb ? ha > hb : a < b;
+    });
+    order = order_.data();
   }
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
     task_dispatch_ = true;
-    stealing_run_ = stealing;
     task_fn_ = fn;
     task_ctx_ = ctx;
+    task_count_ = tasks;
+    task_order_ = order;
+    cursor_.store(0, std::memory_order_relaxed);
     pending_ = workers_.size();
     ++generation_;
   }
@@ -173,61 +163,24 @@ void ThreadPool::run_tasks(int tasks, RawTaskFn fn, void* ctx, const double* cos
 }
 
 void ThreadPool::drain_tasks(int worker) {
-  std::uint64_t busy = 0, ran = 0, stolen = 0;
-  WorkerQueue& own = queues_[static_cast<std::size_t>(worker)];
-  for (;;) {
-    int b = -1, e = -1;
-    {
-      std::lock_guard<std::mutex> lock(own.m);
-      if (own.head < own.tail) {
-        b = own.head;
-        e = ++own.head;
-      }
-    }
-    if (b < 0) {
-      if (!stealing_run_ || !try_steal(worker, &b, &e)) break;
-      stolen += static_cast<std::uint64_t>(e - b);
-    }
+  // The call's state was published under mutex_ before this worker woke.
+  const RawTaskFn fn = task_fn_;
+  void* const ctx = task_ctx_;
+  const int count = task_count_;
+  const int* const order = task_order_;
+  std::uint64_t busy = 0, ran = 0;
+  for (int k = cursor_.fetch_add(1, std::memory_order_relaxed); k < count;
+       k = cursor_.fetch_add(1, std::memory_order_relaxed)) {
+    const int task = order != nullptr ? order[k] : k;
     const auto t0 = std::chrono::steady_clock::now();
-    for (int t = b; t < e; ++t) task_fn_(task_ctx_, t, worker);
+    fn(ctx, task, worker);
     busy += elapsed_ns(t0, std::chrono::steady_clock::now());
-    ran += static_cast<std::uint64_t>(e - b);
+    ++ran;
   }
   WorkerStats& ws = stats_[static_cast<std::size_t>(worker)];
   ws.tasks.fetch_add(ran, std::memory_order_relaxed);
-  ws.steals.fetch_add(stolen, std::memory_order_relaxed);
   ws.busy_ns.fetch_add(busy, std::memory_order_relaxed);
   ws.call_busy_ns = busy;
-}
-
-bool ThreadPool::try_steal(int worker, int* b, int* e) {
-  const int parts = thread_count();
-  // Reseeded per drain-attempt from (seed, worker): probe sequences are a
-  // pure function of the pool seed, never of timing.
-  Xoshiro256 rng(steal_seed_ ^ (0x517cc1b727220a95ULL * static_cast<std::uint64_t>(worker + 1)));
-  const int grain = steal_grain_;
-  auto clip = [&](int victim) {
-    WorkerQueue& q = queues_[static_cast<std::size_t>(victim)];
-    std::lock_guard<std::mutex> lock(q.m);
-    const int avail = q.tail - q.head;
-    if (avail <= 0) return false;
-    const int g = std::min(grain, avail);
-    q.tail -= g;
-    *b = q.tail;
-    *e = q.tail + g;
-    return true;
-  };
-  for (int probe = 0; probe < 2 * parts; ++probe) {
-    const int victim = static_cast<int>(rng.uniform_int(static_cast<std::uint64_t>(parts)));
-    if (victim == worker) continue;
-    if (clip(victim)) return true;
-  }
-  // Deterministic full sweep so termination never depends on probe luck.
-  for (int d = 1; d < parts; ++d) {
-    const int victim = (worker + d) % parts;
-    if (clip(victim)) return true;
-  }
-  return false;
 }
 
 SchedulerStats ThreadPool::scheduler_stats() const {
@@ -240,7 +193,6 @@ SchedulerStats ThreadPool::scheduler_stats() const {
     const std::uint64_t t = stats_[w].tasks.load(std::memory_order_relaxed);
     out.tasks_per_worker[w] = t;
     out.tasks += t;
-    out.steals += stats_[w].steals.load(std::memory_order_relaxed);
     out.busy_seconds[w] =
         static_cast<double>(stats_[w].busy_ns.load(std::memory_order_relaxed)) * 1e-9;
     out.idle_seconds[w] =
@@ -253,7 +205,6 @@ void ThreadPool::reset_scheduler_stats() {
   calls_.store(0, std::memory_order_relaxed);
   for (auto& ws : stats_) {
     ws.tasks.store(0, std::memory_order_relaxed);
-    ws.steals.store(0, std::memory_order_relaxed);
     ws.busy_ns.store(0, std::memory_order_relaxed);
     ws.idle_ns.store(0, std::memory_order_relaxed);
   }

@@ -1,6 +1,5 @@
 // Host-side shared-memory parallelism: a small persistent thread pool with
-// two dispatch disciplines — static contiguous chunking and a work-stealing
-// task scheduler — behind one blocking API.
+// one task discipline behind one blocking API.
 //
 // The virtual ranks of a simulation are independent within each engine
 // phase (per-rank buffers, per-rank ledger rows), so the hot per-rank
@@ -8,24 +7,24 @@
 // virtual rank's arithmetic stays sequential, so floating-point sums are
 // bitwise identical to the serial execution (tests assert this).
 //
-// Determinism contract for the work-stealing scheduler: stealing may
-// reorder which worker *executes* a task and when, but it must never
-// reorder a floating-point *fold*. Every task therefore accumulates into
-// state that is private to that task (a disjoint buffer slice, a per-task
-// partial that the caller reduces in fixed task-index order) — never into
-// a shared accumulator whose fold order would depend on execution order.
-// Under that contract trajectories, force lanes, CostLedger fields and
-// golden traces are bitwise identical across {static, stealing} x any
-// thread count (tests/test_scheduler.cpp pins this).
+// Determinism contract for the task scheduler: the scheduler may choose
+// which worker *executes* a task and when, but it must never reorder a
+// floating-point *fold*. Every task therefore accumulates into state that
+// is private to that task (a disjoint buffer slice, a per-task partial that
+// the caller reduces in fixed task-index order) — never into a shared
+// accumulator whose fold order would depend on execution order. Under that
+// contract trajectories, force lanes, CostLedger fields and golden traces
+// are bitwise identical across any thread count (tests/test_scheduler.cpp
+// pins this).
 //
-// Design notes: per-worker deques are mutex-striped contiguous index
-// ranges (owner pops the front in ascending order, thieves clip batches
-// off the back), pooled at construction so a warmed parallel_tasks call
-// performs zero heap allocations; victim selection uses a per-worker
-// Xoshiro256 stream reseeded at every call, so steal probe sequences are
-// a pure function of (worker, seed) and runs are reproducible; static
-// mode and thread counts <= 1 keep the old serial/contiguous fast paths
-// so the default configuration costs nothing.
+// The discipline: each parallel_tasks call orders its tasks by descending
+// cost hint (ties, and calls without hints, in index order), and every
+// worker, the calling thread included, claims the next task from one
+// shared atomic cursor until none are left. Largest-first keeps a long
+// task from starting last; claiming one task at a time absorbs the error
+// of hints that count pairs rather than time. The order is sorted in place
+// in a pooled index vector, so a warmed call performs zero heap
+// allocations. A pool of one thread runs the tasks inline in index order.
 #pragma once
 
 #include <atomic>
@@ -33,24 +32,17 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
-#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
 namespace canb {
 
-/// How parallel_tasks distributes a task list over the pool.
-///  * kStatic: contiguous index chunks, one per worker, no migration —
-///    exactly the PR 2 discipline (predictable, zero scheduling overhead).
-///  * kStealing: cost-hinted contiguous initial partition + randomized
-///    work stealing, for workloads whose per-task cost is data-driven
-///    (clustered cutoff cells, skewed rank histograms).
-enum class SchedMode { kStatic, kStealing };
+/// The pool's one task discipline (see the header comment). Kept as a type
+/// because perfbench names it (Simulation::Config::sched, set_sched_mode).
+enum class SchedMode { kLargestFirst };
 
 const char* to_string(SchedMode mode) noexcept;
-std::optional<SchedMode> parse_sched_mode(std::string_view name) noexcept;
 
 /// Cumulative scheduler accounting since construction (or the last
 /// reset_scheduler_stats). Counters are written with relaxed atomics by
@@ -58,38 +50,37 @@ std::optional<SchedMode> parse_sched_mode(std::string_view name) noexcept;
 struct SchedulerStats {
   std::uint64_t calls = 0;   ///< parallel_tasks invocations
   std::uint64_t tasks = 0;   ///< tasks executed (all workers)
-  std::uint64_t steals = 0;  ///< tasks executed by a non-assigned worker
+  std::uint64_t steals = 0;  ///< always 0 (nothing is stolen); perfbench reads it
   std::vector<std::uint64_t> tasks_per_worker;
   std::vector<double> busy_seconds;  ///< per worker, time inside task bodies
   /// per worker, summed over parallel_tasks calls: the call's wall minus
-  /// the worker's busy time (steal probes and the wait for the slowest
-  /// worker both count)
+  /// the worker's busy time (claims and the wait for the slowest worker
+  /// both count)
   std::vector<double> idle_seconds;
 };
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers. 0 or 1 means "serial": no threads spawn and
-  /// parallel_for degenerates to a plain loop. `steal_seed` seeds the
-  /// per-worker victim-selection RNG streams (any fixed value reproduces
-  /// the same probe sequences).
-  explicit ThreadPool(int threads, std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull);
+  /// Largest thread count a pool accepts. More is a usage error, caught
+  /// before any thread starts rather than by running out of threads.
+  static constexpr int kMaxThreads = 512;
+
+  /// Spawns `threads` - 1 workers; the calling thread is the last one.
+  /// 0 or 1 means "serial": no threads spawn and every dispatch runs
+  /// inline. Throws PreconditionError outside [0, kMaxThreads] before
+  /// spawning anything. If a spawn fails, the workers already started
+  /// are stopped and joined before the error propagates.
+  explicit ThreadPool(int threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int thread_count() const noexcept { return static_cast<int>(workers_.size()) + 1; }
 
-  /// Scheduler discipline for parallel_tasks. Default kStatic: opting into
-  /// stealing is an explicit choice (CLI --sched, HostTuner calibration).
-  void set_sched_mode(SchedMode mode) noexcept { mode_ = mode; }
-  SchedMode sched_mode() const noexcept { return mode_; }
-
-  /// Max tasks a thief clips off a victim's deque per successful steal.
-  /// Clamped to >= 1. Larger grains amortize the steal lock over more
-  /// tasks; grain 1 balances best when per-task cost is wildly skewed.
-  void set_steal_grain(int grain) noexcept { steal_grain_ = grain < 1 ? 1 : grain; }
-  int steal_grain() const noexcept { return steal_grain_; }
+  /// No-op: there is one discipline. Kept because perfbench calls it.
+  void set_sched_mode(SchedMode) noexcept {}
+  /// No-op: nothing is stolen. Kept because perfbench names it.
+  void set_steal_grain(int) noexcept {}
 
   /// Runs fn(i) for every i in [begin, end), split into contiguous chunks
   /// across the pool plus the calling thread. Blocks until all complete.
@@ -97,8 +88,8 @@ class ThreadPool {
   void parallel_for(int begin, int end, const std::function<void(int)>& fn);
 
   /// Chunked variant: fn(chunk_begin, chunk_end) — lets hot loops hoist
-  /// per-chunk setup out of the per-index body. Always static (the data
-  /// plane's lane copies are uniform; stealing lives in parallel_tasks).
+  /// per-chunk setup out of the per-index body. Always equal contiguous
+  /// chunks (the data plane's lane copies are uniform).
   void parallel_for_chunks(int begin, int end, const std::function<void(int, int)>& fn);
 
   /// Allocation-free chunked dispatch: type-erases the callable as a plain
@@ -117,15 +108,13 @@ class ThreadPool {
   }
 
   /// Task-list dispatch: runs fn(task, worker) exactly once for every task
-  /// in [0, tasks), distributed according to sched_mode(). `worker` is a
-  /// stable index in [0, thread_count()) (0 = the calling thread) so task
-  /// bodies can address per-worker scratch. `cost` (optional, length
-  /// `tasks`) are relative per-task cost hints — e.g. the CA engines'
-  /// per-rank block-pair sizes — used to cost-weight the initial
-  /// contiguous partition under kStealing; kStatic ignores them and
-  /// reproduces the historical equal-index chunks. Allocation-free once
-  /// warmed. fn must not throw and must honor the determinism contract in
-  /// the header comment.
+  /// in [0, tasks). `worker` is a stable index in [0, thread_count())
+  /// (0 = the calling thread) so task bodies can address per-worker
+  /// scratch. `cost` (optional, length `tasks`) are relative per-task cost
+  /// hints — e.g. the CA engines' per-rank block-pair sizes. Tasks are
+  /// claimed largest hint first; a negative, NaN or infinite hint counts
+  /// as 0. Allocation-free once warmed. fn must not throw and must honor
+  /// the determinism contract in the header comment.
   template <class Fn>
   void parallel_tasks(int tasks, Fn&& fn, const double* cost = nullptr) {
     using F = std::remove_reference_t<Fn>;
@@ -151,22 +140,11 @@ class ThreadPool {
     int end = 0;
   };
 
-  /// One worker's deque: a mutex-striped window [head, tail) into the
-  /// global task index space. The owner pops head (ascending, serial
-  /// order); thieves clip up to steal_grain_ tasks off tail. Pooled —
-  /// no per-call allocation.
-  struct alignas(64) WorkerQueue {
-    std::mutex m;
-    int head = 0;
-    int tail = 0;
-  };
-
   /// Per-worker scheduler accounting, relaxed atomics written by the
   /// owning worker during a drain (idle_ns by the calling thread once the
   /// call's workers are done).
   struct alignas(64) WorkerStats {
     std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> steals{0};
     std::atomic<std::uint64_t> busy_ns{0};
     std::atomic<std::uint64_t> idle_ns{0};
     /// Busy time of the current call, published under mutex_ with pending_.
@@ -175,11 +153,11 @@ class ThreadPool {
 
   void run_chunks(int begin, int end, RawChunkFn fn, void* ctx);
   void run_tasks(int tasks, RawTaskFn fn, void* ctx, const double* cost);
+  /// Claims tasks from the cursor until none are left.
   void drain_tasks(int worker);
-  /// Clips a batch off some victim's deque into [*b, *e). Returns false
-  /// when a full scan of every other deque found them all empty.
-  bool try_steal(int worker, int* b, int* e);
   void worker_loop(std::size_t index);
+  /// Wakes every worker with stopping_ set and joins it.
+  void stop_workers() noexcept;
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
@@ -190,17 +168,18 @@ class ThreadPool {
   std::size_t pending_ = 0;      // workers still running this generation
   bool stopping_ = false;
 
-  // Work-stealing state (sized thread_count() at construction; pooled).
-  SchedMode mode_ = SchedMode::kStatic;
-  int steal_grain_ = 1;
-  std::uint64_t steal_seed_;
-  RawTaskFn task_fn_ = nullptr;    // current parallel_tasks op
+  // The current parallel_tasks call, published to the workers under mutex_.
+  RawTaskFn task_fn_ = nullptr;
   void* task_ctx_ = nullptr;
-  bool task_dispatch_ = false;     // workers: drain deques vs run chunk slot
-  bool stealing_run_ = false;      // current op steals (vs static tasks)
-  std::vector<WorkerQueue> queues_;
-  std::vector<WorkerStats> stats_;
+  bool task_dispatch_ = false;       // workers: claim tasks vs run chunk slot
+  int task_count_ = 0;
+  const int* task_order_ = nullptr;  // claim position -> task; null = index order
+  std::vector<int> order_;           // pooled storage behind task_order_
+  std::vector<WorkerStats> stats_;   // sized thread_count() at construction
   std::atomic<std::uint64_t> calls_{0};
+  /// Next claim position of the current call; alone on its cache line,
+  /// since every claim writes it.
+  alignas(64) std::atomic<int> cursor_{0};
 };
 
 }  // namespace canb

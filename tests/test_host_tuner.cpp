@@ -44,8 +44,6 @@ HostTuneEntry sample_entry() {
   e.n = 1024;
   e.threads = 4;
   e.backend = "sse2";
-  e.sched = "stealing";
-  e.steal_grain = 2;
   e.distribution = "plummer";
   e.pairs_per_sec = 3.0517578125e8;
   return e;
@@ -78,8 +76,6 @@ TEST(TuningCache, SaveLoadRoundTripsEveryField) {
   b.n = 64;
   b.threads = 1;
   b.backend = "avx2";
-  b.sched = "static";
-  b.steal_grain = 1;
   b.distribution = "uniform";
   cache.put(a);
   cache.put(b);
@@ -92,8 +88,6 @@ TEST(TuningCache, SaveLoadRoundTripsEveryField) {
     ASSERT_NE(got, nullptr) << want.kernel;
     EXPECT_EQ(got->threads, want.threads);
     EXPECT_EQ(got->backend, want.backend);
-    EXPECT_EQ(got->sched, want.sched);
-    EXPECT_EQ(got->steal_grain, want.steal_grain);
     EXPECT_EQ(got->distribution, want.distribution);
     EXPECT_EQ(got->pairs_per_sec, want.pairs_per_sec);
   }
@@ -128,7 +122,7 @@ TEST(TuningCache, PutUpsertsByKernelSizeAndDistribution) {
 TEST(TuningCache, CorruptFileYieldsEmptyCache) {
   const std::string path = temp_path("tuning_corrupt.json");
   for (const char* text : {"", "{ not json at all", "[1,2,3]",
-                           "{\"schema\": \"canb-host-tuning-v3\", \"entries\": 7}"}) {
+                           "{\"schema\": \"canb-host-tuning-v4\", \"entries\": 7}"}) {
     spit(path, text);
     const TuningCache cache = TuningCache::load_or_empty(path);
     EXPECT_TRUE(cache.entries().empty()) << "text: " << text;
@@ -138,7 +132,7 @@ TEST(TuningCache, CorruptFileYieldsEmptyCache) {
 }
 
 TEST(TuningCache, V1SchemaFileIsDiscardedWhole) {
-  // A pre-scheduler cache (schema v1, no sched/steal_grain/distribution
+  // A pre-scheduler cache (schema v1, no scheduler or distribution
   // fields) must be dropped by the schema gate, not half-parsed.
   const std::string path = temp_path("tuning_v1.json");
   std::string v1 = "{\n  \"schema\": \"canb-host-tuning-v1\",\n  \"machine\": ";
@@ -170,16 +164,30 @@ TEST(TuningCache, V2SchemaFileIsDiscardedWhole) {
   std::remove(path.c_str());
 }
 
-TEST(TuningCache, EntryMissingSchedulerFieldsDiscardsWholeFile) {
-  // v3 schema claiming a v1-shaped entry: every field is mandatory.
-  const std::string path = temp_path("tuning_missing_sched.json");
+TEST(TuningCache, V3SchemaFileIsDiscardedWhole) {
+  // A cache from before the single task scheduler (schema v3: scheduler
+  // mode and steal grain per entry) is dropped by the schema gate.
+  const std::string path = temp_path("tuning_v3.json");
+  std::string v3 = "{\n  \"schema\": \"canb-host-tuning-v3\",\n  \"machine\": ";
+  v3 += '"' + TuningCache::machine_key() + "\",\n  \"build\": \"" + TuningCache::build_key();
+  v3 +=
+      "\",\n  \"entries\": [\n    {\"kernel\": \"inverse_square\", \"n\": 1024, "
+      "\"threads\": 4, \"backend\": \"sse2\", \"sched\": \"stealing\", \"steal_grain\": 2, "
+      "\"distribution\": \"plummer\", \"pairs_per_sec\": 3e8}\n  ]\n}\n";
+  spit(path, v3);
+  EXPECT_TRUE(TuningCache::load_or_empty(path).entries().empty());
+  std::remove(path.c_str());
+}
+
+TEST(TuningCache, EntryMissingFieldDiscardsWholeFile) {
+  // Every v4 field is mandatory: a pruned entry fails closed.
+  const std::string path = temp_path("tuning_missing_field.json");
   TuningCache cache;
   cache.put(sample_entry());
   ASSERT_TRUE(cache.save(path));
   std::string text = slurp(path);
-  for (const char* field :
-       {"\"threads\": 4, ", "\"sched\": \"stealing\", ", "\"steal_grain\": 2, ",
-        "\"distribution\": \"plummer\", "}) {
+  for (const char* field : {"\"threads\": 4, ", "\"backend\": \"sse2\", ",
+                            "\"distribution\": \"plummer\", "}) {
     std::string pruned = text;
     const auto pos = pruned.find(field);
     ASSERT_NE(pos, std::string::npos) << field;
@@ -230,14 +238,13 @@ TEST(TuningCache, InvalidEntryFieldDiscardsWholeFile) {
   spit(path, text);
   EXPECT_TRUE(TuningCache::load_or_empty(path).entries().empty());
 
-  text = slurp(path);  // restore is easier via a fresh save
-  TuningCache again;
+  TuningCache again;  // restore is easier via a fresh save
   again.put(sample_entry());
   ASSERT_TRUE(again.save(path));
   text = slurp(path);
-  const auto spos = text.find("\"stealing\"");
-  ASSERT_NE(spos, std::string::npos);
-  text.replace(spos, 10, "\"wishful\"");  // unknown scheduler mode: same rule
+  const auto tpos = text.find("\"threads\": 4");
+  ASSERT_NE(tpos, std::string::npos);
+  text.replace(tpos, 12, "\"threads\": 0");  // no thread to run on: same rule
   spit(path, text);
   EXPECT_TRUE(TuningCache::load_or_empty(path).entries().empty());
   std::remove(path.c_str());
@@ -250,8 +257,6 @@ TEST(TuneChoice, EntryRoundTripsThroughChoice) {
   const HostTuneChoice c = core::choice_from_entry(e);
   EXPECT_EQ(c.backend, std::min(simd::Backend::Sse2, simd::max_supported()));
   EXPECT_EQ(c.threads, e.threads);
-  EXPECT_EQ(c.sched, canb::SchedMode::kStealing);
-  EXPECT_EQ(c.steal_grain, e.steal_grain);
   EXPECT_TRUE(c.from_cache);
   EXPECT_EQ(c.pairs_per_sec, e.pairs_per_sec);
 
@@ -260,8 +265,6 @@ TEST(TuneChoice, EntryRoundTripsThroughChoice) {
   EXPECT_EQ(back.n, e.n);
   EXPECT_EQ(back.threads, e.threads);
   EXPECT_EQ(back.backend, simd::backend_name(c.backend));
-  EXPECT_EQ(back.sched, e.sched);
-  EXPECT_EQ(back.steal_grain, e.steal_grain);
   EXPECT_EQ(back.distribution, e.distribution);
 }
 
@@ -345,16 +348,15 @@ TEST(HostTunerTest, CacheHitSkipsCalibrationAndForceOverridesIt) {
   EXPECT_FALSE(forced.best.from_cache);
 }
 
-TEST(HostTunerTest, ClusteredCalibrationYieldsInstallableSchedulerChoice) {
+TEST(HostTunerTest, ClusteredCalibrationKeysByDistribution) {
   Tuner::Config cfg = quick_config();
-  cfg.distribution = "plummer";  // triggers the skewed scheduler trial
+  cfg.distribution = "plummer";  // shapes the calibration block
   const Tuner tuner(cfg);
   const Tuner::Result result = tuner.tune();
-  EXPECT_GE(result.best.steal_grain, 1);
+  EXPECT_GT(result.best.pairs_per_sec, 0.0);
   EXPECT_GE(result.best.threads, 1);
   const core::HostTuneEntry e =
       core::entry_from_choice("inverse_square", cfg.n, cfg.distribution, result.best);
-  EXPECT_TRUE(canb::parse_sched_mode(e.sched).has_value());
   EXPECT_EQ(e.distribution, "plummer");
   // Cache keying separates the shapes: a plummer entry never answers a
   // uniform lookup.

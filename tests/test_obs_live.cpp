@@ -96,7 +96,6 @@ TEST(ObsSnapshot, FilterDropsReplicatedFamilies) {
 TEST(ObsSnapshot, ProcessLocalPrefixes) {
   EXPECT_TRUE(obs::process_local_metric("canb_transport_frames_sent_total"));
   EXPECT_TRUE(obs::process_local_metric("canb_sched_calls_total"));
-  EXPECT_TRUE(obs::process_local_metric("canb_steal_total"));
   EXPECT_TRUE(obs::process_local_metric("canb_worker_idle_seconds"));
   EXPECT_TRUE(obs::process_local_metric("canb_tasks_per_worker"));
   EXPECT_TRUE(obs::process_local_metric("canb_host_phase_seconds"));
@@ -160,7 +159,7 @@ TEST(ObsSnapshot, MergeSumsCountersAndHistograms) {
 TEST(ObsSnapshot, MergeLabelsGaugesWithGroup) {
   obs::MetricsRegistry src, dst;
   src.gauge("canb_worker_busy_seconds", {{"worker", "0"}}).set(2.5);
-  src.gauge("canb_sched_info", {{"group", "1"}, {"mode", "static"}}).set(1.0);
+  src.gauge("canb_sched_info", {{"group", "1"}, {"mode", "largest-first"}}).set(1.0);
   obs::merge_registry(dst, src, "2");
   // The unlabeled gauge gains group="2"; the pre-labeled one is untouched.
   const auto& fam = dst.families().at("canb_worker_busy_seconds");

@@ -4,14 +4,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "core/ca_all_pairs.hpp"
 #include "core/policy.hpp"
 #include "decomp/partition.hpp"
 #include "machine/presets.hpp"
 #include "particles/init.hpp"
+#include "support/assert.hpp"
 #include "support/parallel.hpp"
 
 namespace {
@@ -78,39 +81,97 @@ TEST(ThreadPool, ChunkedVariantPartitionsContiguously) {
   EXPECT_EQ(expected_begin, 103);
 }
 
-// --- parallel_tasks: the work-stealing scheduler --------------------------------
-
-TEST(Scheduler, ModeNamesRoundTrip) {
-  EXPECT_STREQ(to_string(SchedMode::kStatic), "static");
-  EXPECT_STREQ(to_string(SchedMode::kStealing), "stealing");
-  EXPECT_EQ(parse_sched_mode("static"), SchedMode::kStatic);
-  EXPECT_EQ(parse_sched_mode("stealing"), SchedMode::kStealing);
-  EXPECT_FALSE(parse_sched_mode("dynamic").has_value());
-  EXPECT_FALSE(parse_sched_mode("").has_value());
+TEST(ThreadPool, RejectsThreadCountsOutsideTheCap) {
+  // Rejected before any worker is spawned: nothing here starts a thread.
+  EXPECT_THROW(ThreadPool pool(ThreadPool::kMaxThreads + 1), PreconditionError);
+  EXPECT_THROW(ThreadPool pool(-1), PreconditionError);
 }
 
-TEST(Scheduler, TasksRunExactlyOnceUnderBothModes) {
-  for (const SchedMode mode : {SchedMode::kStatic, SchedMode::kStealing}) {
-    for (const int threads : {1, 2, 4}) {
-      ThreadPool pool(threads);
-      pool.set_sched_mode(mode);
-      std::vector<std::atomic<int>> hits(513);
-      pool.parallel_tasks(513, [&](int t, int w) {
-        ASSERT_GE(w, 0);
-        ASSERT_LT(w, pool.thread_count());
-        hits[static_cast<std::size_t>(t)]++;
-      });
-      for (const auto& h : hits)
-        EXPECT_EQ(h.load(), 1) << to_string(mode) << " threads=" << threads;
+// --- parallel_tasks: largest-first claims from a shared cursor -------------------
+
+/// Hint shapes the engines can hand parallel_tasks: none, all zero, skewed,
+/// and values the scheduler must read as 0 (negative, NaN, +-inf).
+std::vector<std::vector<double>> hint_shapes(int tasks) {
+  const auto n = static_cast<std::size_t>(tasks);
+  std::vector<double> zeros(n, 0.0), skewed(n), bad(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    skewed[t] = t % 7 == 0 ? 1e6 : static_cast<double>(t % 3);
+    switch (t % 5) {
+      case 0: bad[t] = std::numeric_limits<double>::quiet_NaN(); break;
+      case 1: bad[t] = std::numeric_limits<double>::infinity(); break;
+      case 2: bad[t] = -std::numeric_limits<double>::infinity(); break;
+      case 3: bad[t] = -2.0; break;
+      default: bad[t] = static_cast<double>(t); break;
+    }
+  }
+  return {{}, zeros, skewed, bad};
+}
+
+/// The hint parallel_tasks claims by: bad values count as 0.
+double effective_hint(const std::vector<double>& hints, int t) {
+  if (hints.empty()) return 0.0;
+  const double h = hints[static_cast<std::size_t>(t)];
+  return h > 0.0 && h <= std::numeric_limits<double>::max() ? h : 0.0;
+}
+
+TEST(Scheduler, TasksRunExactlyOnceForEveryHintShape) {
+  for (const int threads : {1, 2, 3, 8}) {
+    ThreadPool pool(threads);
+    for (const int tasks : {0, 1, threads - 1, threads + 1, 1000}) {
+      for (const auto& hints : hint_shapes(tasks)) {
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(tasks));
+        pool.parallel_tasks(
+            tasks,
+            [&](int t, int w) {
+              ASSERT_GE(w, 0);
+              ASSERT_LT(w, pool.thread_count());
+              hits[static_cast<std::size_t>(t)]++;
+            },
+            hints.empty() ? nullptr : hints.data());
+        for (const auto& h : hits)
+          EXPECT_EQ(h.load(), 1) << "threads=" << threads << " tasks=" << tasks
+                                 << " hinted=" << !hints.empty();
+      }
+    }
+  }
+}
+
+// Each worker's claims are increasing cursor positions, so the tasks one
+// worker runs must follow the claim order: hint descending, then index
+// ascending. This holds however the claims interleave across workers.
+TEST(Scheduler, EachWorkerClaimsLargestHintFirst) {
+  const int tasks = 200;
+  for (const int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    for (const auto& hints : hint_shapes(tasks)) {
+      std::vector<std::vector<int>> ran(static_cast<std::size_t>(threads));
+      pool.parallel_tasks(
+          tasks, [&](int t, int w) { ran[static_cast<std::size_t>(w)].push_back(t); },
+          hints.empty() ? nullptr : hints.data());
+      std::size_t total = 0;
+      bool largest_claimed_first = false;
+      int largest = 0;
+      for (int t = 1; t < tasks; ++t)
+        if (effective_hint(hints, t) > effective_hint(hints, largest)) largest = t;
+      for (const auto& seq : ran) {
+        total += seq.size();
+        if (!seq.empty() && seq.front() == largest) largest_claimed_first = true;
+        for (std::size_t i = 1; i < seq.size(); ++i) {
+          const double prev = effective_hint(hints, seq[i - 1]);
+          const double cur = effective_hint(hints, seq[i]);
+          EXPECT_TRUE(prev > cur || (prev == cur && seq[i - 1] < seq[i]))
+              << "threads=" << threads << " task " << seq[i] << " after " << seq[i - 1];
+        }
+      }
+      EXPECT_EQ(total, static_cast<std::size_t>(tasks));
+      EXPECT_TRUE(largest_claimed_first) << "threads=" << threads;
     }
   }
 }
 
 TEST(Scheduler, CostHintsCoverEveryTaskEvenWhenSkewed) {
   ThreadPool pool(4);
-  pool.set_sched_mode(SchedMode::kStealing);
-  // One giant task and a tail of tiny ones: the cost-weighted partition
-  // must still hand every worker at least one task and lose none.
+  // One giant task and a tail of tiny ones: every task still runs once.
   std::vector<double> cost(64, 1.0);
   cost[0] = 1e6;
   std::vector<std::atomic<int>> hits(64);
@@ -129,13 +190,13 @@ TEST(Scheduler, ZeroAndNegativeTaskCountsAreNoOps) {
 
 TEST(Scheduler, StatsCountCallsTasksAndWorkers) {
   ThreadPool pool(2);
-  pool.set_sched_mode(SchedMode::kStealing);
   pool.reset_scheduler_stats();
   for (int round = 0; round < 3; ++round)
     pool.parallel_tasks(100, [&](int, int) {});
   const SchedulerStats stats = pool.scheduler_stats();
   EXPECT_EQ(stats.calls, 3u);
   EXPECT_EQ(stats.tasks, 300u);
+  EXPECT_EQ(stats.steals, 0u);
   ASSERT_EQ(stats.tasks_per_worker.size(), 2u);
   std::uint64_t sum = 0;
   for (const auto t : stats.tasks_per_worker) sum += t;
@@ -147,11 +208,10 @@ TEST(Scheduler, StatsCountCallsTasksAndWorkers) {
   const SchedulerStats zeroed = pool.scheduler_stats();
   EXPECT_EQ(zeroed.calls, 0u);
   EXPECT_EQ(zeroed.tasks, 0u);
-  EXPECT_EQ(zeroed.steals, 0u);
 }
 
-// A worker whose static chunk runs out early waits for the slowest one;
-// that wait is idle time, not only the steal probes.
+// A worker that finds the cursor past the last task waits for the slowest
+// one; that wait is idle time.
 TEST(Scheduler, IdleCountsTheWaitForTheSlowestWorker) {
   ThreadPool pool(2);
   pool.reset_scheduler_stats();
@@ -170,32 +230,24 @@ TEST(Scheduler, IdleCountsTheWaitForTheSlowestWorker) {
   EXPECT_GE(stats.busy_seconds[static_cast<std::size_t>(sleeper.load())], 0.015);
 }
 
-TEST(Scheduler, StealGrainClampsToOne) {
-  ThreadPool pool(2);
-  pool.set_steal_grain(0);
-  EXPECT_EQ(pool.steal_grain(), 1);
-  pool.set_steal_grain(-5);
-  EXPECT_EQ(pool.steal_grain(), 1);
-  pool.set_steal_grain(8);
-  EXPECT_EQ(pool.steal_grain(), 8);
-}
-
-// The TSan target: many rounds of skewed task lists over a stealing pool,
-// with per-task writes to disjoint slots and relaxed shared counters —
-// exactly the access pattern the engines submit. A race in the deque
-// windows, the dispatch flags, or the stats counters shows up here.
-TEST(Scheduler, StealingStressManyRoundsDisjointWrites) {
+// The TSan target: many rounds of skewed task lists over one pool, with
+// per-task writes to disjoint slots and relaxed shared counters — exactly
+// the access pattern the engines submit. A race on the cursor, the
+// published call state, the dispatch flags or the stats counters shows up
+// here.
+TEST(Scheduler, CursorStressManyRoundsDisjointWrites) {
   ThreadPool pool(4);
-  pool.set_sched_mode(SchedMode::kStealing);
   const int tasks = 257;
-  std::vector<double> cost(static_cast<std::size_t>(tasks));
-  for (int t = 0; t < tasks; ++t)
-    cost[static_cast<std::size_t>(t)] = (t % 17 == 0) ? 400.0 : 1.0;  // spiky histogram
+  std::vector<double> spiky(static_cast<std::size_t>(tasks)), rising(spiky.size());
+  for (int t = 0; t < tasks; ++t) {
+    spiky[static_cast<std::size_t>(t)] = (t % 17 == 0) ? 400.0 : 1.0;
+    rising[static_cast<std::size_t>(t)] = static_cast<double>(t);
+  }
   std::vector<std::uint64_t> out(static_cast<std::size_t>(tasks), 0);
   std::atomic<std::uint64_t> total{0};
+  const double* const shapes[] = {spiky.data(), rising.data(), nullptr};
   for (int round = 0; round < 200; ++round) {
-    for (const int grain : {1, 2, 4}) {
-      pool.set_steal_grain(grain);
+    for (const double* cost : shapes) {
       pool.parallel_tasks(
           tasks,
           [&](int t, int) {
@@ -205,7 +257,7 @@ TEST(Scheduler, StealingStressManyRoundsDisjointWrites) {
             out[static_cast<std::size_t>(t)] += static_cast<std::uint64_t>(t) + 1;
             total.fetch_add(1, std::memory_order_relaxed);
           },
-          cost.data());
+          cost);
     }
   }
   EXPECT_EQ(total.load(), static_cast<std::uint64_t>(200 * 3 * tasks));

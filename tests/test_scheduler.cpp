@@ -1,11 +1,11 @@
-// Work-stealing scheduler contracts (support/parallel.hpp):
+// Task scheduler contracts (support/parallel.hpp):
 //
 //  1. Bitwise identity — trajectories, ledgers, and serialized traces are
-//     byte-for-byte identical across {static, stealing} x threads {1,2,8}
-//     x {all-pairs, cutoff} x {uniform, plummer} x fault model {off, on}.
-//     Stealing may only move *execution*, never a floating-point fold.
-//  2. Zero allocation — a warmed stealing parallel_tasks path performs no
-//     heap allocation (counted by a global operator-new hook).
+//     byte-for-byte identical across threads {1,2,8} x {all-pairs, cutoff}
+//     x {uniform, plummer} x fault model {off, on}. The scheduler may only
+//     move *execution*, never a floating-point fold.
+//  2. Zero allocation — a warmed parallel_tasks call, hinted or not,
+//     performs no heap allocation (counted by a global operator-new hook).
 //
 // The clustered input honors CANB_CLUSTER_SEED (the CI matrix sweeps it):
 // identity must hold for every seed, so any seed-dependent divergence in
@@ -88,8 +88,7 @@ struct RunOut {
   std::string trace;
 };
 
-RunOut run_case(sim::Method method, const std::string& dist, SchedMode mode, int threads,
-                bool fault) {
+RunOut run_case(sim::Method method, const std::string& dist, int threads, bool fault) {
   Sim::Config cfg;
   cfg.method = method;
   cfg.machine = machine::laptop();
@@ -97,8 +96,6 @@ RunOut run_case(sim::Method method, const std::string& dist, SchedMode mode, int
   cfg.c = method == sim::Method::CaAllPairs ? 2 : 1;
   cfg.cutoff = method == sim::Method::CaCutoff ? 0.2 : 0.0;
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
-  cfg.sched = mode;
-  cfg.steal_grain = 2;
   if (fault) {
     vmpi::FaultConfig fc;
     fc.seed = 77;
@@ -169,16 +166,13 @@ std::string scheduler_case_name(const ::testing::TestParamInfo<SchedulerCase>& p
 
 TEST_P(SchedulerBitwise, IdenticalAcrossModesAndThreads) {
   const auto [method, dist, fault] = GetParam();
-  const RunOut baseline = run_case(method, dist, SchedMode::kStatic, 1, fault);
+  const RunOut baseline = run_case(method, dist, 1, fault);
   ASSERT_GT(baseline.traj.size(), 0u);
-  for (const SchedMode mode : {SchedMode::kStatic, SchedMode::kStealing}) {
-    for (const int threads : {1, 2, 8}) {
-      if (mode == SchedMode::kStatic && threads == 1) continue;  // the baseline itself
-      const RunOut got = run_case(method, dist, mode, threads, fault);
-      EXPECT_TRUE(bitwise_equal(got, baseline))
-          << to_string(mode) << " threads=" << threads << " dist=" << dist
-          << " fault=" << fault << " seed=" << cluster_seed();
-    }
+  for (const int threads : {2, 8}) {
+    const RunOut got = run_case(method, dist, threads, fault);
+    EXPECT_TRUE(bitwise_equal(got, baseline)) << "threads=" << threads << " dist=" << dist
+                                              << " fault=" << fault
+                                              << " seed=" << cluster_seed();
   }
 }
 
@@ -193,38 +187,10 @@ INSTANTIATE_TEST_SUITE_P(
         std::tuple{sim::Method::CaCutoff, std::string("plummer"), true}),
     scheduler_case_name);
 
-// Stealing with a different pool seed still lands on the same results: the
-// victim-probe order is an execution detail, not part of the fold.
-TEST(SchedulerBitwise, StealSeedDoesNotChangeResults) {
-  Sim::Config cfg;
-  cfg.method = sim::Method::CaCutoff;
-  cfg.machine = machine::laptop();
-  cfg.p = 16;
-  cfg.cutoff = 0.2;
-  cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
-  cfg.sched = SchedMode::kStealing;
+// --- zero allocation on the warmed task path ------------------------------
 
-  auto run_with_seed = [&](std::uint64_t seed) {
-    Sim simulation(cfg, make_input("plummer", 160, cfg.box));
-    simulation.set_host_pool(std::make_shared<ThreadPool>(4, seed));
-    simulation.run(3);
-    return simulation.gather();
-  };
-  const auto a = run_with_seed(1);
-  const auto b = run_with_seed(0xdeadbeefULL);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].px), std::bit_cast<std::uint32_t>(b[i].px));
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i].fx), std::bit_cast<std::uint32_t>(b[i].fx));
-  }
-}
-
-// --- zero allocation on the warmed stealing path ---------------------------
-
-TEST(SchedulerAllocation, WarmedStealingTaskPathAllocatesNothing) {
+TEST(SchedulerAllocation, WarmedTaskPathAllocatesNothing) {
   ThreadPool pool(4);
-  pool.set_sched_mode(SchedMode::kStealing);
-  pool.set_steal_grain(2);
   const int tasks = 96;
   std::vector<double> cost(static_cast<std::size_t>(tasks));
   for (int t = 0; t < tasks; ++t)
@@ -234,11 +200,15 @@ TEST(SchedulerAllocation, WarmedStealingTaskPathAllocatesNothing) {
     out[static_cast<std::size_t>(t)] += static_cast<std::uint64_t>(t);
   };
 
-  // Warm: first dispatch may fault in thread-local and libc state.
+  // Warm: first dispatch may fault in thread-local and libc state, and the
+  // first hinted call sizes the pooled claim order.
   for (int i = 0; i < 4; ++i) pool.parallel_tasks(tasks, body, cost.data());
 
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 64; ++i) pool.parallel_tasks(tasks, body, cost.data());
+  for (int i = 0; i < 32; ++i) {
+    pool.parallel_tasks(tasks, body, cost.data());
+    pool.parallel_tasks(tasks, body);  // unhinted: index order
+  }
   const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "warmed parallel_tasks path heap-allocated "
                            << (after - before) << " times across 64 calls";
@@ -246,20 +216,6 @@ TEST(SchedulerAllocation, WarmedStealingTaskPathAllocatesNothing) {
   std::uint64_t sum = 0;
   for (const auto v : out) sum += v;
   EXPECT_EQ(sum, 68ull * (static_cast<std::uint64_t>(tasks - 1) * tasks / 2));
-}
-
-// Static mode rides the same pooled path: also allocation-free when warm.
-TEST(SchedulerAllocation, WarmedStaticTaskPathAllocatesNothing) {
-  ThreadPool pool(2);
-  pool.set_sched_mode(SchedMode::kStatic);
-  std::atomic<std::uint64_t> total{0};
-  const auto body = [&](int t, int) {
-    total.fetch_add(static_cast<std::uint64_t>(t), std::memory_order_relaxed);
-  };
-  for (int i = 0; i < 4; ++i) pool.parallel_tasks(64, body);
-  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 64; ++i) pool.parallel_tasks(64, body);
-  EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed), before);
 }
 
 }  // namespace

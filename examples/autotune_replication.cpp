@@ -7,16 +7,10 @@
 // would produce) and picks the modeled-fastest. Here we tune the paper's
 // own configurations and show where the optimum lands on each machine.
 //
-// The last section closes the loop with the host: a HostTuner calibration
-// measures this machine's real sweep throughput and feeds it back into the
-// model as gamma = 1/pairs_per_sec, so the c-choice balances communication
-// against the compute rate the hardware actually delivers.
-//
 // Run: ./examples/autotune_replication [--p=24576] [--n=196608]
 #include <iostream>
 
 #include "core/autotuner.hpp"
-#include "core/host_tuner.hpp"
 #include "machine/presets.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -57,31 +51,8 @@ int main(int argc, char** argv) {
   tune_and_print("2D cutoff (rc=l/4) on Intrepid, p=32768",
                  {32768, 262144, machine::intrepid(false, false), 0, 0.25, 2});
 
-  // --- measured-gamma feed (host calibration -> virtual c-choice) ---------
-  // A short real calibration replaces the preset's nominal per-interaction
-  // constant with this machine's measured sweep rate. The resulting c can
-  // differ: a faster host shrinks the compute share, pushing the optimum
-  // toward less replication (communication dominates sooner).
-  {
-    core::HostTuner<particles::InverseSquareRepulsion>::Config hcfg;
-    hcfg.kernel = {1e-4, 1e-2};
-    hcfg.n = 512;
-    hcfg.sample_seconds = 2e-3;
-    hcfg.max_threads = 1;  // gamma is a per-core constant; threads scale ranks
-    const auto host = core::HostTuner<particles::InverseSquareRepulsion>(hcfg).tune();
-    const machine::MachineModel measured =
-        core::with_measured_gamma(machine::hopper(), host.best);
-    std::cout << "\nmeasured host sweep: " << host.best.pairs_per_sec
-              << " pairs/s  ->  gamma = " << measured.gamma << " s/interaction (preset "
-              << machine::hopper().gamma << ")\n";
-    tune_and_print("All-pairs on Hopper with MEASURED gamma, p=" + std::to_string(p),
-                   {p, n, measured, 0, 0.0, 1});
-  }
-
   std::cout << "\nThe paper's observation holds: the best c sits well inside (1, sqrt(p)),\n"
                "and differs per machine — hence 'c should be treated as a tuning\n"
-               "parameter'. A memory cap (max_c) restricts the search to what fits.\n"
-               "The measured-gamma section grounds the model's compute term in a real\n"
-               "host calibration (core::with_measured_gamma).\n";
+               "parameter'. A memory cap (max_c) restricts the search to what fits.\n";
   return 0;
 }

@@ -18,11 +18,6 @@
 //                 The pool claims each step's per-rank tasks largest
 //                 first (support/parallel.hpp); outputs are bitwise
 //                 identical at every thread count
-//   --tune        off | auto | force host autotuning (core/host_tuner.hpp):
-//                 auto calibrates (or reuses --tune-cache) and installs the
-//                 fastest {SIMD backend, threads} for the force sweep;
-//                 force always re-calibrates. Virtual time is unchanged.
-//   --tune-cache  path to the persisted tuning cache (docs/TUNING.md)
 //
 // Real transport (docs/TRANSPORT.md). The modeled default moves bytes
 // in-process and only charges the virtual clock; socket runs the same
@@ -84,9 +79,11 @@
 //                   <series-out>.straggler-step<K>.json (default 3.0)
 //
 //   --help          print the option list and exit 0
-// A usage error (unknown option, bad value, or a configuration no engine
-// can run, such as c not dividing p) prints one line naming the problem
-// plus the option list and exits 2.
+// A usage error (unknown option, bad value, a configuration no engine can
+// run such as c not dividing p, an output or --transport-dir in a missing
+// directory, or a --restart checkpoint that fails its checks) prints one
+// line naming the problem plus the option list and exits 2. Any other
+// failure during the run prints one line and exits 1.
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
@@ -100,7 +97,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/autotuner.hpp"
 #include "machine/presets.hpp"
 #include "obs/export.hpp"
 #include "particles/diagnostics.hpp"
@@ -152,21 +148,27 @@ particles::Block make_workload(const std::string& name, int n, const particles::
   return {};
 }
 
-/// Cache key + tuner calibration shape for a workload name.
-std::string tune_distribution_for(const std::string& workload) {
-  if (workload == "plummer" || workload == "ring" || workload == "clusters") return workload;
-  return "uniform";
+/// Throws PreconditionError unless `path` can name a file to write: its
+/// directory exists and it is not a directory itself. Creates nothing.
+void require_output_path(const std::string& option, const std::string& path) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path dir = fs::path(path).parent_path();
+  CANB_REQUIRE(dir.empty() || fs::is_directory(dir, ec),
+               "--" + option + ": directory " + dir.string() + " does not exist");
+  CANB_REQUIRE(!path.empty() && !fs::is_directory(path, ec),
+               "--" + option + " needs a file path, not '" + path + "'");
 }
 
 using Sim = sim::Simulation<particles::InverseSquareRepulsion>;
 
 const std::vector<std::string> kOptions = {
     "method", "machine", "workload", "n", "p", "c", "steps", "dt", "cutoff", "seed", "xyz",
-    "csv", "checkpoint", "restart", "report", "rdf", "threads", "integrator", "tune",
-    "tune-cache", "fault-seed", "straggler", "jitter", "drop-rate", "link-degrade",
-    "obs-level", "metrics-out", "trace-out", "spans-csv", "serve", "serve-linger",
-    "series-out", "series-capacity", "straggler-factor", "transport", "transport-groups",
-    "transport-group", "transport-dir", "transport-drop", "transport-drop-seed", "help"};
+    "csv", "checkpoint", "restart", "report", "rdf", "threads", "integrator", "fault-seed",
+    "straggler", "jitter", "drop-rate", "link-degrade", "obs-level", "metrics-out",
+    "trace-out", "spans-csv", "serve", "serve-linger", "series-out", "series-capacity",
+    "straggler-factor", "transport", "transport-groups", "transport-group", "transport-dir",
+    "transport-drop", "transport-drop-seed", "help"};
 
 /// Everything the options decide, parsed and validated before any process
 /// is forked or any simulation state is built.
@@ -203,15 +205,6 @@ RunPlan plan_run(const CliArgs& args) {
   cfg.cutoff = args.get_double("cutoff", 0.0);
   cfg.kernel = particles::InverseSquareRepulsion{1e-4, 1e-2};
   cfg.integrator = args.get("integrator", "velocity-verlet");
-  {
-    const auto tune = sim::parse_tune_mode(args.get("tune", "off"));
-    CANB_REQUIRE(tune.has_value(), "unknown --tune (off | auto | force)");
-    cfg.tune = *tune;
-    cfg.tune_cache = args.get("tune-cache", "");
-    CANB_REQUIRE(cfg.tune_cache.empty() || cfg.tune != sim::TuneMode::Off,
-                 "--tune-cache needs --tune=auto or force");
-    cfg.tune_distribution = tune_distribution_for(args.get("workload", "uniform"));
-  }
   plan.n = static_cast<int>(args.get_int("n", 512));
   plan.steps = static_cast<int>(args.get_int("steps", 50));
   plan.seed = static_cast<std::uint64_t>(args.get_int("seed", 2013));
@@ -242,6 +235,9 @@ RunPlan plan_run(const CliArgs& args) {
       sc.groups = static_cast<int>(args.get_int("transport-groups", 2));
       CANB_REQUIRE(sc.groups >= 1 && sc.groups <= cfg.p, "--transport-groups must be in [1, p]");
       sc.dir = args.get("transport-dir", "");
+      std::error_code ec;
+      CANB_REQUIRE(sc.dir.empty() || std::filesystem::is_directory(sc.dir, ec),
+                   "--transport-dir: directory " + sc.dir + " does not exist");
       if (args.has("transport-group")) {
         // Externally launched: the caller starts one process per group and
         // points them all at the same rendezvous directory.
@@ -304,6 +300,14 @@ RunPlan plan_run(const CliArgs& args) {
                  "--series-capacity/--straggler-factor need --series-out");
   }
 
+  // The run opens its output files only as it writes them, some after the
+  // last step; check now that each can be created, before any fork. The
+  // .prom file and straggler dumps land next to their option's file.
+  for (const char* option :
+       {"csv", "xyz", "checkpoint", "metrics-out", "series-out", "trace-out", "spans-csv"}) {
+    if (args.has(option)) require_output_path(option, args.get(option, ""));
+  }
+
   // An impossible method/p/c/cutoff combination is a usage error too.
   Sim::validate(cfg);
 
@@ -337,7 +341,7 @@ int run(const CliArgs& args, RunPlan plan) {
   const double time0 = plan.time0;
 
   // The socket arm forks its process group here, BEFORE any threads exist
-  // (the tuner and host pool spawn some), and before the simulation is
+  // (the host pool spawns some), and before the simulation is
   // built so every group constructs identical state. `primary` gates every
   // print and file output below: group 0 speaks for the run, the other
   // groups compute, feed the fabric, exit 0.
@@ -367,16 +371,7 @@ int run(const CliArgs& args, RunPlan plan) {
   auto simulation_ptr = std::make_unique<Sim>(cfg, std::move(plan.initial));
   cfg.transport.reset();
   Sim& simulation = *simulation_ptr;
-  if (const auto& tuned = simulation.tuned(); primary && tuned.has_value()) {
-    std::cout << "host tuner: simd=" << particles::simd::backend_name(particles::simd::active())
-              << " threads=" << tuned->threads
-              << (tuned->from_cache ? " (cached)" : " (calibrated)") << "\n";
-  }
   int threads = plan.threads;
-  if (!args.has("threads") && simulation.tuned()) {
-    // No explicit --threads: a tuned run uses the calibrated thread count.
-    threads = simulation.tuned()->threads;
-  }
   if (threads == 0) {
     // --threads=0: use every hardware thread (minimum 1 when the runtime
     // cannot tell, which hardware_concurrency signals by returning 0).
@@ -485,8 +480,8 @@ int run(const CliArgs& args, RunPlan plan) {
       const obs::MetricsRegistry merged = simulation.merged_metrics();
       obs::write_metrics_json(out, merged, manifest, telem->spans_enabled() ? &cp : nullptr);
       // Prometheus text rides along under the same stem.
-      const auto dot = path.rfind('.');
-      const std::string prom_path = path.substr(0, dot == std::string::npos ? path.size() : dot) + ".prom";
+      const std::string prom_path =
+          std::filesystem::path(path).replace_extension(".prom").string();
       std::ofstream prom(prom_path);
       CANB_REQUIRE(prom.good(), "cannot open Prometheus output file: " + prom_path);
       prom << obs::to_prometheus(merged);
@@ -581,11 +576,12 @@ int main(int argc, char** argv) {
   } catch (const std::out_of_range& e) {
     return usage_error(e.what());
   }
-  // A socket peer that dies mid-run ends this process with one line, not a
-  // hang or std::terminate.
+  // A socket peer that dies mid-run (vmpi::TransportError), or any other
+  // failure the run throws (an output that cannot be written after all),
+  // ends this process with one line, not a hang or std::terminate.
   try {
     return run(*args, std::move(plan));
-  } catch (const vmpi::TransportError& e) {
+  } catch (const std::exception& e) {
     std::cerr << "run_simulation: " << e.what() << "\n";
     return 1;
   }

@@ -247,8 +247,8 @@ void Telemetry::finalize(const vmpi::VirtualComm& vc) {
         .inc(static_cast<std::uint64_t>(sweep_pairs));
     registry_
         .counter("canb_sweep_pairs_computed_total", with_group({}),
-                 "pair evaluations actually executed on the host (under a cutoff, "
-                 "only the pairs in range)")
+                 "pair evaluations the host actually executed (under a cutoff, the "
+                 "candidate pairs the cell cull kept, a superset of the pairs in range)")
         .inc(static_cast<std::uint64_t>(sweep_computed));
   }
   if (!sweep_backend_.empty()) {

@@ -72,7 +72,8 @@ class Telemetry final : public vmpi::CommObserver {
   /// InteractionCount fields. Threading mirrors on_compute: pool workers
   /// hit distinct ranks only, so the per-rank accumulators are race-free.
   /// `examined` is the ledger unit; `computed` counts pair evaluations the
-  /// host actually executed (under a cutoff, only the pairs in range).
+  /// host actually executed (under a cutoff, the candidate pairs the cell
+  /// cull kept, a superset of the pairs in range: particles/sweep.hpp).
   void on_sweep(int rank, std::uint64_t examined, std::uint64_t computed) noexcept;
 
   /// Names the SIMD backend the sweeps dispatched to; published by

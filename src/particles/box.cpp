@@ -22,11 +22,20 @@ double min_image(double d, double l) noexcept {
   return d;
 }
 
-// Reflects coordinate x into [0, l], flipping v on each bounce. Handles
-// overshoot beyond one box length (slow particles and sane dt make this
-// rare; the loop converges in one or two iterations).
+// Reflects coordinate x into [0, l], flipping v on each bounce. The loop
+// settles x in [-2l, 3l] in at most two exact bounces. Farther out it would
+// bounce ~|x|/l times, forever once 2l - x rounds to -x, so whole periods
+// of 2l (two bounces each, v unchanged) go first by an exact fmod; a
+// remainder of 0 stands for a full period, as the loop counts it.
+// Non-finite x is left as it is (NaN fails both range tests).
 void reflect(float& x, float& v, double l) noexcept {
   double xd = static_cast<double>(x);
+  if (!(xd < 0.0 || xd > l)) return;
+  if (xd < -2.0 * l || xd > 3.0 * l) {
+    if (!std::isfinite(xd)) return;
+    const double r = std::fmod(xd, 2.0 * l);
+    xd = r != 0.0 ? r : std::copysign(2.0 * l, xd);
+  }
   double vd = static_cast<double>(v);
   while (xd < 0.0 || xd > l) {
     if (xd < 0.0) {

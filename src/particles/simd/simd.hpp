@@ -19,9 +19,9 @@
 //
 // Backend selection is RUNTIME dispatch: CPUID decides the widest usable
 // backend, the CANB_SIMD environment variable (scalar|sse2|avx2) can lower
-// it, and set_backend() lets the host tuner or a bench arm pin it
-// per-process. Nothing here reads or writes the virtual cost model — like
-// the sweeps that call it, this changes host wall time only.
+// it, and set_backend() lets a test or a bench arm pin it per-process.
+// Nothing here reads or writes the virtual cost model — like the sweeps
+// that call it, this changes host wall time only.
 #pragma once
 
 #include <cstddef>

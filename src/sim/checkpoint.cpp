@@ -1,5 +1,6 @@
 #include "sim/checkpoint.hpp"
 
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 
@@ -9,7 +10,7 @@ namespace canb::sim {
 
 namespace {
 constexpr char kMagic[4] = {'C', 'A', 'N', 'B'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 struct Header {
   char magic[4];
@@ -17,8 +18,20 @@ struct Header {
   std::int64_t step;
   double time;
   std::uint64_t count;
+  std::uint64_t checksum;  ///< FNV-1a over the fields above, then the payload
 };
-static_assert(sizeof(Header) == 32, "checkpoint header layout is part of the format");
+static_assert(sizeof(Header) == 40, "checkpoint header layout is part of the format");
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+std::uint64_t checksum_of(const Header& h, const particles::Block& ps) noexcept {
+  const std::uint64_t head = fnv1a(14695981039346656037ull, &h, offsetof(Header, checksum));
+  return fnv1a(head, ps.data(), ps.size() * particles::kParticleBytes);
+}
 }  // namespace
 
 void save_checkpoint(const std::string& path, const Checkpoint& cp) {
@@ -30,6 +43,7 @@ void save_checkpoint(const std::string& path, const Checkpoint& cp) {
   h.step = cp.step;
   h.time = cp.time;
   h.count = cp.particles.size();
+  h.checksum = checksum_of(h, cp.particles);
   f.write(reinterpret_cast<const char*>(&h), sizeof(h));
   f.write(reinterpret_cast<const char*>(cp.particles.data()),
           static_cast<std::streamsize>(cp.particles.size() * particles::kParticleBytes));
@@ -37,13 +51,25 @@ void save_checkpoint(const std::string& path, const Checkpoint& cp) {
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   CANB_REQUIRE(f.good(), "cannot open checkpoint file: " + path);
+  const std::streamoff file_bytes = f.tellg();
+  CANB_REQUIRE(file_bytes >= 0, "cannot size checkpoint file: " + path);
+  f.seekg(0);
   Header h{};
   f.read(reinterpret_cast<char*>(&h), sizeof(h));
+  CANB_REQUIRE(f.gcount() >= 8 && std::memcmp(h.magic, kMagic, 4) == 0,
+               "not a CANB checkpoint: " + path);
+  CANB_REQUIRE(h.version == kVersion, "unsupported checkpoint version " +
+                                          std::to_string(h.version) + " (expected " +
+                                          std::to_string(kVersion) + ") in " + path);
   CANB_REQUIRE(f.gcount() == sizeof(h), "checkpoint truncated (header): " + path);
-  CANB_REQUIRE(std::memcmp(h.magic, kMagic, 4) == 0, "not a CANB checkpoint: " + path);
-  CANB_REQUIRE(h.version == kVersion, "unsupported checkpoint version in " + path);
+  // Bound the count by the bytes actually present before allocating, so a
+  // corrupt header fails here rather than in resize.
+  const auto file_size = static_cast<std::uint64_t>(file_bytes);
+  CANB_REQUIRE(file_size >= sizeof(h) &&
+                   h.count <= (file_size - sizeof(h)) / particles::kParticleBytes,
+               "checkpoint truncated (payload), or its count is corrupt: " + path);
   Checkpoint cp;
   cp.step = h.step;
   cp.time = h.time;
@@ -51,6 +77,8 @@ Checkpoint load_checkpoint(const std::string& path) {
   const auto bytes = static_cast<std::streamsize>(h.count * particles::kParticleBytes);
   f.read(reinterpret_cast<char*>(cp.particles.data()), bytes);
   CANB_REQUIRE(f.gcount() == bytes, "checkpoint truncated (payload): " + path);
+  CANB_REQUIRE(checksum_of(h, cp.particles) == h.checksum,
+               "checkpoint checksum mismatch (corrupt file): " + path);
   return cp;
 }
 

@@ -11,13 +11,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <variant>
 
 #include "core/ca_all_pairs.hpp"
 #include "core/ca_cutoff.hpp"
-#include "core/host_tuner.hpp"
 #include "core/midpoint.hpp"
 #include "core/spatial_halo.hpp"
 #include "decomp/force_decomposition.hpp"
@@ -55,29 +53,16 @@ constexpr bool runs_over_transport(Method m) noexcept {
   return m == Method::CaAllPairs || m == Method::CaCutoff;
 }
 
-/// Host autotuning mode (core/host_tuner.hpp).
+/// The host sweep's backend choice: the default SIMD dispatch
+/// (particles/simd/simd.hpp) is the only one. Kept, with tune_mode_name,
+/// only because print_provenance (perfbench/src/main.cpp) reads
+/// Config::tune; both go once perfbench takes its provenance from the run
+/// manifest.
 enum class TuneMode {
-  Off,    ///< keep the SIMD dispatch as given
-  Auto,   ///< use a cached decision when present, calibrate on a miss
-  Force,  ///< always re-calibrate and overwrite the cache entry
+  Off,  ///< the SIMD dispatch as configured (CANB_SIMD or the widest supported)
 };
 
-inline const char* tune_mode_name(TuneMode m) noexcept {
-  switch (m) {
-    case TuneMode::Off: return "off";
-    case TuneMode::Auto: return "auto";
-    case TuneMode::Force: return "force";
-  }
-  return "?";
-}
-
-/// Parses "off" | "auto" | "force"; nullopt on anything else.
-inline std::optional<TuneMode> parse_tune_mode(std::string_view name) noexcept {
-  if (name == "off") return TuneMode::Off;
-  if (name == "auto") return TuneMode::Auto;
-  if (name == "force") return TuneMode::Force;
-  return std::nullopt;
-}
+inline const char* tune_mode_name(TuneMode) noexcept { return "off"; }
 
 /// Splits q into the most square qx-by-qy factorization (qx <= qy).
 std::pair<int, int> near_square_factors(int q);
@@ -101,19 +86,9 @@ class Simulation {
     /// The host pool's one task discipline (support/parallel.hpp). A
     /// constant, not a setting; perfbench's provenance line reads it.
     static constexpr SchedMode sched = SchedMode::kLargestFirst;
-    /// Host autotuning. Off leaves the SIMD dispatch exactly as
-    /// configured; Auto/Force run core::HostTuner at construction and
-    /// install its SIMD backend.
-    /// The tuned thread count is reported via tuned() — attaching a pool
-    /// is still the caller's call (set_host_pool).
-    TuneMode tune = TuneMode::Off;
-    /// Workload-shape label for the tuner ("uniform", "plummer", "ring",
-    /// "clusters"): shapes its calibration particles and keys the cache
-    /// entry. Ignored when `tune` is Off.
-    std::string tune_distribution = "uniform";
-    /// Tuning-cache path (docs/TUNING.md). Empty = calibrate in-process
-    /// without persistence. Ignored when `tune` is Off.
-    std::string tune_cache;
+    /// A constant, not a setting (see TuneMode); kept only because
+    /// perfbench's print_provenance reads it.
+    static constexpr TuneMode tune = TuneMode::Off;
     /// Fault/straggler injection (vmpi/fault.hpp). Disengaged by default;
     /// a config with all rates zero is attached but inert (bitwise-identical
     /// clocks, ledgers, and trajectories — tested).
@@ -158,7 +133,6 @@ class Simulation {
 
   Simulation(Config cfg, particles::Block initial)
       : cfg_(std::move(cfg)),
-        tuned_(maybe_tune(cfg_, initial.size())),
         engine_(make_engine(cfg_, std::move(initial))) {
     set_integrator(cfg_.integrator);
     // One DataPlane per run: every engine that supports it shares the same
@@ -362,11 +336,6 @@ class Simulation {
   /// The attached fault model, or nullptr when fault injection is off.
   const vmpi::PerturbationModel* fault_model() const noexcept { return fault_model_.get(); }
 
-  /// The host-tuner decision applied at construction, or nullopt when
-  /// tuning was off (or the blocks were too small to calibrate). The
-  /// tuned thread count is advisory — pass it to set_host_pool to use it.
-  const std::optional<core::HostTuneChoice>& tuned() const noexcept { return tuned_; }
-
   /// The attached telemetry, or nullptr when observability is off.
   obs::Telemetry* telemetry() noexcept { return telemetry_.get(); }
   const obs::Telemetry* telemetry() const noexcept { return telemetry_.get(); }
@@ -436,40 +405,6 @@ class Simulation {
   using ForceT = decomp::ForceDecomposition<Policy>;
   using EngineVariant =
       std::variant<CaAllPairsT, CaCutoffT, SpatialHaloT, MidpointT, RingT, AllGatherT, ForceT>;
-
-  /// Runs the host tuner when Config::tune asks for it and installs the
-  /// winning SIMD backend into the process dispatch.
-  /// Runs before make_engine so the first sweep already uses the backend.
-  static std::optional<core::HostTuneChoice> maybe_tune(const Config& cfg,
-                                                        std::size_t total_n) {
-    if (cfg.tune == TuneMode::Off) return std::nullopt;
-    // Calibrate at the per-rank resident block size the sweeps will see.
-    int q = cfg.p;
-    if (cfg.method == Method::CaAllPairs || cfg.method == Method::CaCutoff)
-      q = std::max(1, cfg.p / std::max(1, cfg.c));
-    const std::uint64_t bn = static_cast<std::uint64_t>(total_n) /
-                             static_cast<std::uint64_t>(std::max(1, q));
-    if (bn < 2) return std::nullopt;  // nothing worth calibrating
-
-    typename core::HostTuner<K>::Config tcfg;
-    tcfg.box = cfg.box;
-    tcfg.kernel = cfg.kernel;
-    tcfg.cutoff = cfg.cutoff;
-    tcfg.n = bn;
-    tcfg.distribution = cfg.tune_distribution;
-    core::HostTuner<K> tuner(std::move(tcfg));
-
-    typename core::HostTuner<K>::Result result;
-    if (cfg.tune_cache.empty()) {
-      result = tuner.tune();
-    } else {
-      core::TuningCache cache = core::TuningCache::load_or_empty(cfg.tune_cache);
-      result = tuner.tune_with_cache(cache, cfg.tune == TuneMode::Force);
-      if (!result.candidates.empty()) cache.save(cfg.tune_cache);  // measured fresh
-    }
-    particles::simd::set_backend(result.best.backend);
-    return result.best;
-  }
 
   static EngineVariant make_engine(const Config& cfg, particles::Block initial) {
     cfg.box.validate();
@@ -625,9 +560,6 @@ class Simulation {
   }
 
   Config cfg_;
-  /// Declared before engine_: maybe_tune installs the SIMD dispatch
-  /// before make_engine builds the engine's first sweep on it.
-  std::optional<core::HostTuneChoice> tuned_;
   EngineVariant engine_;
   /// Owned here (heap) so the pointer held by the engine's VirtualComm
   /// stays valid if the Simulation object itself is moved.

@@ -1,9 +1,13 @@
 // Checkpoint/restart round trips and the radial distribution function.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <string>
 
 #include "particles/diagnostics.hpp"
 #include "particles/init.hpp"
@@ -43,30 +47,59 @@ TEST(Checkpoint, RejectsMissingFile) {
   EXPECT_THROW(sim::load_checkpoint("/tmp/canb_does_not_exist.canb"), PreconditionError);
 }
 
-TEST(Checkpoint, RejectsBadMagic) {
-  const std::string path = "/tmp/canb_test_cp_bad.canb";
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << "this is not a checkpoint file at all, padded to header size....";
+// Saves a 10-particle checkpoint, lets `corrupt` edit its bytes, and
+// expects the load to throw PreconditionError whose text contains `want`.
+void expect_rejected(const std::function<void(std::string&)>& corrupt,
+                     const std::string& want = "") {
+  const std::string path = std::string("/tmp/canb_test_cp_") +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  sim::save_checkpoint(path, {5, 0.5, particles::init_uniform(10, Box::reflective_2d(1.0), 3)});
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  ASSERT_EQ(bytes.size(), 40 + 10 * particles::kParticleBytes);  // v2 header, then records
+  corrupt(bytes);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  try {
+    sim::load_checkpoint(path);
+    ADD_FAILURE() << "a corrupt checkpoint loaded";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
   }
-  EXPECT_THROW(sim::load_checkpoint(path), PreconditionError);
   std::remove(path.c_str());
 }
 
+TEST(Checkpoint, RejectsBadMagic) {
+  expect_rejected([](std::string& b) { b = "this is not a checkpoint file at all, padded..."; },
+                  "not a CANB checkpoint");
+}
+
 TEST(Checkpoint, RejectsTruncatedPayload) {
-  const std::string path = "/tmp/canb_test_cp_trunc.canb";
-  const auto ps = particles::init_uniform(10, Box::reflective_2d(1.0), 1);
-  sim::save_checkpoint(path, {1, 0.1, ps});
-  // Chop the last 20 bytes off.
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(data.data(), static_cast<std::streamsize>(data.size() - 20));
-  }
-  EXPECT_THROW(sim::load_checkpoint(path), PreconditionError);
-  std::remove(path.c_str());
+  expect_rejected([](std::string& b) { b.resize(b.size() - 20); }, "truncated");
+}
+
+TEST(Checkpoint, RejectsAFlippedPayloadOrHeaderByte) {
+  // A byte in particle 3, the last payload byte, and one of the step field.
+  for (const std::size_t at : {40 + 3 * particles::kParticleBytes + 5,
+                               40 + 10 * particles::kParticleBytes - 1, std::size_t{8}})
+    expect_rejected([at](std::string& b) { b[at] = static_cast<char>(b[at] ^ 1); }, "checksum");
+}
+
+TEST(Checkpoint, RejectsACountLargerThanTheFileBeforeAllocating) {
+  // 2^58 records made resize throw std::length_error; 11 would read past
+  // the end of the file.
+  for (const std::uint64_t count : {std::uint64_t{1} << 58, std::uint64_t{11}})
+    expect_rejected([count](std::string& b) { std::memcpy(b.data() + 24, &count, 8); }, "count");
+}
+
+TEST(Checkpoint, RejectsVersion1Files) {
+  // Version 1: the same header without the checksum field.
+  expect_rejected(
+      [](std::string& b) {
+        b.erase(32, 8);
+        b[4] = 1;
+      },
+      "unsupported checkpoint version 1");
 }
 
 // --- radial distribution ----------------------------------------------------------

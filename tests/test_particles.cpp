@@ -2,7 +2,12 @@
 // initializers, diagnostics, and the serial reference.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "particles/box.hpp"
 #include "particles/diagnostics.hpp"
@@ -66,6 +71,61 @@ TEST(Box, ReflectiveBoundaryFlipsVelocity) {
   EXPECT_NEAR(p.py, 0.2f, 1e-6);
   EXPECT_NEAR(p.vy, 0.3f, 1e-6);
   EXPECT_TRUE(inside(p, box));
+}
+
+// The reflective fold before it was bounded: the reference wherever its
+// bounces are exact.
+void reflect_by_bouncing(float& x, float& v, double l) {
+  double xd = x;
+  double vd = v;
+  while (xd < 0.0 || xd > l) {
+    xd = xd < 0.0 ? -xd : 2.0 * l - xd;
+    vd = -vd;
+  }
+  x = static_cast<float>(xd);
+  v = static_cast<float>(vd);
+}
+
+TEST(Box, ReflectiveBoundaryMatchesTheBounceLoopBitwise) {
+  // The loop's bounces are exact on [-4l, 4l] (2l - x by Sterbenz), and for
+  // l = 1 on a 1/8 grid at any distance, so the bounded fold must agree bit
+  // for bit: the loop itself on [-2l, 3l], the closed form beyond it.
+  std::vector<std::pair<double, float>> cases;
+  for (const double l : {1.0, 0.7, 3.3})
+    for (int i = 0; i <= 40000; ++i) cases.emplace_back(l, l * (i / 5000.0 - 4.0));
+  for (int k = -1024; k <= 1024; ++k) cases.emplace_back(1.0, k / 8.0f);
+  for (const auto& [l, x0] : cases) {
+    Particle p;
+    p.px = x0;
+    p.vx = 0.75f;
+    float x = x0;
+    float v = p.vx;
+    reflect_by_bouncing(x, v, l);
+    apply_boundary(p, Box::reflective_1d(l));
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(p.px), std::bit_cast<std::uint32_t>(x)) << x0;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(p.vx), std::bit_cast<std::uint32_t>(v)) << x0;
+  }
+}
+
+TEST(Box, ReflectiveBoundaryReturnsForAnyInput) {
+  // The loop alone bounced ~|x|/l times, forever for infinities and past
+  // ~2^53 l, where 2l - x rounds to -x.
+  const Box box = Box::reflective_2d(1.0);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float x : {1e30f, -1e30f, 3.5f, -2.5f, inf, -inf, nan}) {
+    Particle p;
+    p.px = x;
+    p.py = x;
+    p.vx = 0.25f;
+    apply_boundary(p, box);
+    if (!std::isfinite(x)) {  // left as it is, velocity included
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(p.px), std::bit_cast<std::uint32_t>(x));
+      EXPECT_EQ(p.vx, 0.25f);
+    } else {
+      EXPECT_TRUE(inside(p, box)) << x;  // exact values: the test above
+    }
+  }
 }
 
 TEST(Box, PeriodicBoundaryWraps) {

@@ -172,6 +172,27 @@ TEST(Simulation, RepulsionSpreadsParticlesApart) {
   EXPECT_GT(after, before * 1.05);
 }
 
+TEST(Simulation, AParticleFlungFarOutStillSteps) {
+  // One particle far outside the box, or light enough that one step flings
+  // it there, once spun the reflective fold ~|x|/l times, forever past
+  // ~2^53 l. The check is that run() returns.
+  auto cfg = base_config();
+  cfg.method = sim::Method::CaCutoff;
+  cfg.p = 16;
+  cfg.cutoff = 0.2;
+  for (const bool light : {false, true}) {
+    auto init = particles::init_uniform(64, cfg.box, 5);
+    if (light) {
+      init[0].mass = 1e-30f;
+    } else {
+      init[0].px = 1e30f;
+    }
+    Sim s(cfg, init);
+    s.run(2);
+    EXPECT_EQ(s.steps_taken(), 2);
+  }
+}
+
 TEST(Simulation, StepCountTracks) {
   auto cfg = base_config();
   cfg.p = 4;

@@ -6,20 +6,23 @@
 // ledger is layout-invariant by construction and is *not* what this bench
 // reports.
 //
-//   ./bench/step_bench --out=BENCH_step.json --min-ms=400 --repeats=3
+//   ./bench/step_bench --out=BENCH_step.json --min-ms=400 --repeats=5
 //
 // Built with the library's own flags (not the -O3 bench flags): the
 // Simulation and its sweeps are header templates instantiated here, so the
 // recorded numbers are the step as users build it. The manifest records the
 // host's core count and CPU model. Emitted JSON records steps/sec per
 // (method, n, p, c, threads) so the perf trajectory of the host data path
-// is a file in the repo, not a claim from memory.
+// is a file in the repo, not a claim from memory. Each row carries the best
+// window (`steps_per_sec`), the median window and the slowest window: on a
+// shared host the best window alone hides a spread of several times.
 //
 // --series-out=FILE additionally runs the headline case once more with the
 // per-step flight recorder attached (obs/step_series.hpp) and writes its
 // JSON — a per-step wall/pairs profile of the bench workload. This
 // instrumented pass is separate from the timed windows above, so attaching
 // the recorder cannot perturb the recorded steps/sec.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,9 +65,17 @@ struct Case {
   std::string dist = "uniform";
 };
 
+/// Steps/sec of a case's timed windows: the best, the median and the
+/// slowest.
+struct Windows {
+  double best = 0.0;
+  double median = 0.0;
+  double slowest = 0.0;
+};
+
 struct Result {
   Case cfg;
-  double steps_per_sec = 0.0;
+  Windows sps;
 };
 
 /// Builds a fresh Simulation for the case (identical initial state every
@@ -112,13 +123,13 @@ void record_series(const Case& cs, const std::string& path, int steps) {
   g_sink = g_sink + simulation.gather()[0].px;
 }
 
-/// Best steps/sec over `repeats` timed windows of at least `min_ms` each
-/// (after a warmup step that faults pages and primes scratch buffers).
-double measure_steps_per_sec(const Case& cs, double min_ms, int repeats) {
+/// Steps/sec over `repeats` timed windows of at least `min_ms` each (after
+/// a warmup step that faults pages and primes scratch buffers).
+Windows measure_steps_per_sec(const Case& cs, double min_ms, int repeats) {
   auto simulation = make_sim(cs);
   if (cs.threads > 1) simulation.set_host_pool(std::make_shared<ThreadPool>(cs.threads));
   simulation.step();  // warmup
-  double best = 0.0;
+  std::vector<double> sps;
   for (int r = 0; r < repeats; ++r) {
     const auto start = std::chrono::steady_clock::now();
     long steps = 0;
@@ -128,10 +139,11 @@ double measure_steps_per_sec(const Case& cs, double min_ms, int repeats) {
       ++steps;
       elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     } while (elapsed * 1e3 < min_ms);
-    best = std::max(best, static_cast<double>(steps) / elapsed);
+    sps.push_back(static_cast<double>(steps) / elapsed);
   }
   g_sink = g_sink + simulation.gather()[0].px;
-  return best;
+  std::sort(sps.begin(), sps.end());
+  return {sps.back(), sps[sps.size() / 2], sps.front()};
 }
 
 struct SocketResult {
@@ -205,7 +217,9 @@ void write_json(const std::string& path, const std::vector<Result>& rs,
           .kv("cutoff", r.cfg.cutoff)
           .kv("threads", r.cfg.threads)
           .kv("dist", r.cfg.dist)
-          .kv("steps_per_sec", r.steps_per_sec);
+          .kv("steps_per_sec", r.sps.best)
+          .kv("steps_per_sec_median", r.sps.median)
+          .kv("steps_per_sec_slowest", r.sps.slowest);
     });
   }
   // Socket-mesh rows: owner-computes wall clock per group count.
@@ -232,7 +246,8 @@ int main(int argc, char** argv) {
                      {"out", "min-ms", "repeats", "series-out", "series-steps", "socket-steps"});
   const std::string out_path = args.get("out", "BENCH_step.json");
   const double min_ms = args.get_double("min-ms", 400.0);
-  const int repeats = static_cast<int>(args.get_int("repeats", 3));
+  const int repeats = static_cast<int>(args.get_int("repeats", 5));
+  CANB_REQUIRE(repeats >= 1, "--repeats must be at least 1");
   const std::string series_out = args.get("series-out", "");
   const int series_steps = static_cast<int>(args.get_int("series-steps", 64));
   const int socket_steps = static_cast<int>(args.get_int("socket-steps", 24));
@@ -275,12 +290,13 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Result> results;
-  std::cout << "method        n      p    c  thr  dist     steps/s\n";
+  std::cout << "method        n      p    c  thr  dist     steps/s: best / median / slowest\n";
   for (const auto& cs : cases) {
     Result r{cs, measure_steps_per_sec(cs, min_ms, repeats)};
     results.push_back(r);
-    std::printf("%-13s %-6d %-4d %-2d %-4d %-8s %.2f\n", sim::method_name(cs.method), cs.n,
-                cs.p, cs.c, cs.threads, cs.dist.c_str(), r.steps_per_sec);
+    std::printf("%-13s %-6d %-4d %-2d %-4d %-8s %.2f / %.2f / %.2f\n",
+                sim::method_name(cs.method), cs.n, cs.p, cs.c, cs.threads, cs.dist.c_str(),
+                r.sps.best, r.sps.median, r.sps.slowest);
   }
   write_json(out_path, results, socket_results, min_ms, repeats);
   std::cout << "wrote " << out_path << "\n";

@@ -331,6 +331,18 @@ int usage_error(const std::string& what) {
   return 2;
 }
 
+/// Opens `path`, hands the stream to `write`, then flushes and checks it.
+/// A write that fails after the file opened (a full disk, /dev/full)
+/// throws, naming the option and the path; main prints it and exits 1.
+template <class WriteFn>
+void write_output(const char* option, const std::string& path, WriteFn&& write) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error(std::string("cannot open --") + option + " file " + path);
+  write(out);
+  if (!out.flush())
+    throw std::runtime_error(std::string("cannot write --") + option + " file " + path);
+}
+
 int run(const CliArgs& args, RunPlan plan) {
   Sim::Config& cfg = plan.cfg;
   const int n = plan.n;
@@ -410,9 +422,9 @@ int run(const CliArgs& args, RunPlan plan) {
     // the evidence is on disk even if the run later hangs or dies.
     series->set_straggler_sink([&simulation, series_out](const obs::StepSample& s) {
       const std::string path = series_out + ".straggler-step" + std::to_string(s.step) + ".json";
-      std::ofstream out(path);
-      if (!out.good()) return;
-      obs::write_step_series(out, *simulation.step_series(), simulation.manifest());
+      write_output("series-out", path, [&](std::ostream& out) {
+        obs::write_step_series(out, *simulation.step_series(), simulation.manifest());
+      });
       std::cout << "straggler at step " << s.step << " (" << obs::format_double(s.wall_seconds)
                 << "s wall); snapshot written to " << path << "\n";
     });
@@ -473,39 +485,38 @@ int run(const CliArgs& args, RunPlan plan) {
     const obs::RunManifest& manifest = simulation.manifest();
     if (args.has("metrics-out")) {
       const std::string path = args.get("metrics-out", "");
-      std::ofstream out(path);
-      CANB_REQUIRE(out.good(), "cannot open --metrics-out file: " + path);
       // Mesh runs export the merged registry: every process's transport,
       // scheduler, and host-phase series, group-labeled and summable.
       const obs::MetricsRegistry merged = simulation.merged_metrics();
-      obs::write_metrics_json(out, merged, manifest, telem->spans_enabled() ? &cp : nullptr);
-      // Prometheus text rides along under the same stem.
+      write_output("metrics-out", path, [&](std::ostream& out) {
+        obs::write_metrics_json(out, merged, manifest, telem->spans_enabled() ? &cp : nullptr);
+      });
+      // Prometheus text rides along under the same stem, opened only once
+      // the JSON is known to be written.
       const std::string prom_path =
           std::filesystem::path(path).replace_extension(".prom").string();
-      std::ofstream prom(prom_path);
-      CANB_REQUIRE(prom.good(), "cannot open Prometheus output file: " + prom_path);
-      prom << obs::to_prometheus(merged);
+      write_output("metrics-out", prom_path,
+                   [&](std::ostream& out) { out << obs::to_prometheus(merged); });
       std::cout << "metrics written to " << path << " (+" << prom_path << ")\n";
     }
     if (!series_out.empty()) {
-      std::ofstream out(series_out);
-      CANB_REQUIRE(out.good(), "cannot open --series-out file: " + series_out);
-      obs::write_step_series(out, *simulation.step_series(), manifest);
+      write_output("series-out", series_out, [&](std::ostream& out) {
+        obs::write_step_series(out, *simulation.step_series(), manifest);
+      });
       std::cout << "flight recorder written to " << series_out << "\n";
     }
     if (args.has("trace-out")) {
       const std::string path = args.get("trace-out", "");
-      std::ofstream out(path);
-      CANB_REQUIRE(out.good(), "cannot open --trace-out file: " + path);
-      obs::write_chrome_trace(out, telem->spans(), telem->trace(), &manifest);
+      write_output("trace-out", path, [&](std::ostream& out) {
+        obs::write_chrome_trace(out, telem->spans(), telem->trace(), &manifest);
+      });
       std::cout << "chrome trace written to " << path
                 << " (open in chrome://tracing or ui.perfetto.dev)\n";
     }
     if (args.has("spans-csv")) {
       const std::string path = args.get("spans-csv", "");
-      std::ofstream out(path);
-      CANB_REQUIRE(out.good(), "cannot open --spans-csv file: " + path);
-      obs::write_span_csv(out, telem->spans());
+      write_output("spans-csv", path,
+                   [&](std::ostream& out) { obs::write_span_csv(out, telem->spans()); });
       std::cout << "span time series written to " << path << "\n";
     }
     if (telem->spans_enabled()) std::cout << obs::format_critical_path(cp);

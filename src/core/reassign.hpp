@@ -9,16 +9,15 @@
 // payloads charge the modeled migration volume instead (counts are
 // steady-state under the uniform-density assumption).
 //
-// Host execution follows the data-plane convention (vmpi/primitives.hpp):
-// a null DataPlane keeps the legacy per-round behavior (fresh route lists,
-// keep-list rebuild); a non-null plane recycles the route lists from the
-// arena and compacts each resident block IN PLACE (copy_within/truncate),
-// so a steady-state round with no movers touches no particle data and
-// allocates nothing. Every vc charge is issued from particle counts before
-// (or independent of) the host movement, and the round structure —
-// including the `any` early-exit that gates the exchange permutes — is
-// decided by particle positions alone, so both arms produce bitwise
-// identical ledgers, traces, and trajectories (tests/test_data_plane.cpp).
+// Host execution goes through the caller's DataPlane (vmpi/primitives.hpp):
+// the route lists are recycled from its arena and each resident block is
+// compacted IN PLACE (copy_within/truncate), so a steady-state round with
+// no movers touches no particle data and allocates nothing. Every vc
+// charge is issued from particle counts before (or independent of) the
+// host movement, and the round structure — including the `any` early-exit
+// that gates the exchange permutes — is decided by particle positions
+// alone. The migrating goldens of tests/test_data_plane.cpp pin the moved
+// and compacted particles bit for bit.
 //
 // Shared by CaCutoff and the halo-exchange spatial baseline.
 #pragma once
@@ -50,13 +49,13 @@ inline int target_axis_coord(double px, double py, int axis, const CutoffGeometr
 /// append to their resident block. Ring transport keeps the permutation
 /// total; under reflective boundaries boundary teams' outward lists are
 /// empty by construction, so the wrapped messages cost nothing. Receiving
-/// teams' resident blocks are disjoint, so the appends fan across the host
-/// pool when a plane is attached.
+/// teams' resident blocks are disjoint, so the appends fan across the
+/// plane's host pool.
 template <class Policy>
 void exchange_lists(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid, const CutoffGeometry& geom,
                     std::vector<typename Policy::Buffer>& lists,
                     std::vector<typename Policy::Buffer>& resident, int axis, int direction,
-                    vmpi::DataPlane<typename Policy::Buffer>* plane) {
+                    vmpi::DataPlane<typename Policy::Buffer>& plane) {
   const TeamOffset off = axis == 0 ? TeamOffset{-direction, 0, 0} : TeamOffset{0, -direction, 0};
   vc.permute_step(
       vmpi::Phase::Reassign,
@@ -103,41 +102,31 @@ void exchange_lists(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid, const Cutof
       return;
     }
   }
-  auto body = [&](int b, int e) {
+  plane.for_chunks(geom.teams(), [&](int b, int e) {
     for (int t = b; t < e; ++t) {
       const int src_col = geom.wrap_team(t, off);
-      auto& incoming = lists[static_cast<std::size_t>(src_col)];
-      auto& blk = resident[static_cast<std::size_t>(grid.leader(t))];
-      blk.append(incoming);
+      resident[static_cast<std::size_t>(grid.leader(t))].append(
+          lists[static_cast<std::size_t>(src_col)]);
     }
-  };
-  if (plane != nullptr) {
-    plane->for_chunks(geom.teams(), body);
-  } else {
-    body(0, geom.teams());
-  }
+  });
 }
 
 /// Splits every team's resident block into stay / move-up / move-down
 /// along `axis`, filling plus/minus (one outgoing list per team). Returns
 /// whether any particle moved — the decision is a pure function of
-/// particle positions, identical in both host arms.
+/// particle positions.
 ///
-/// Legacy arm (plane == nullptr): rebuild a `keep` block and swap — the
-/// pre-data-plane behavior, kept as the property test's reference.
-/// Pooled arm: in-place compaction via copy_within/truncate — kept
-/// particles shift down over vacated slots (dst <= i always, so reads
-/// never see an overwritten slot), and a block with no movers is never
-/// touched at all. Teams are independent, so the split fans across the
-/// host pool.
+/// In-place compaction via copy_within/truncate: kept particles shift down
+/// over vacated slots (dst <= i always, so reads never see an overwritten
+/// slot), and a block with no movers is never touched at all. Teams are
+/// independent, so the split fans across the plane's host pool.
 template <class Policy>
 bool split_teams(const vmpi::VirtualComm& vc, const vmpi::Grid2d& grid,
                  const CutoffGeometry& geom, const particles::Box& box,
                  std::vector<typename Policy::Buffer>& resident, int axis,
                  std::vector<typename Policy::Buffer>& plus,
                  std::vector<typename Policy::Buffer>& minus,
-                 vmpi::DataPlane<typename Policy::Buffer>* plane) {
-  using Buffer = typename Policy::Buffer;
+                 vmpi::DataPlane<typename Policy::Buffer>& plane) {
   const int q = geom.teams();
   auto split_one = [&](int t) {
     // Owner-computes: only the owning process reads positions and splits;
@@ -151,27 +140,7 @@ bool split_teams(const vmpi::VirtualComm& vc, const vmpi::Grid2d& grid,
     // Lane partition: ownership reads only the position lanes, and the
     // routed particles move lane-exactly via append_from (no wire-format
     // round trip on a host-local split).
-    if constexpr (requires { blk.copy_within(std::size_t{}, std::size_t{}); }) {
-      if (plane != nullptr) {
-        std::size_t dst = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const int target = target_axis_coord(static_cast<double>(blk.px[i]),
-                                               static_cast<double>(blk.py[i]), axis, geom, box);
-          if (target > here) {
-            up.append_from(blk, i);
-          } else if (target < here) {
-            down.append_from(blk, i);
-          } else {
-            if (dst != i) blk.copy_within(dst, i);
-            ++dst;
-          }
-        }
-        blk.truncate(dst);
-        return;
-      }
-    }
-    Buffer keep;
-    keep.reserve(n);
+    std::size_t dst = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const int target = target_axis_coord(static_cast<double>(blk.px[i]),
                                            static_cast<double>(blk.py[i]), axis, geom, box);
@@ -180,18 +149,15 @@ bool split_teams(const vmpi::VirtualComm& vc, const vmpi::Grid2d& grid,
       } else if (target < here) {
         down.append_from(blk, i);
       } else {
-        keep.append_from(blk, i);
+        if (dst != i) blk.copy_within(dst, i);
+        ++dst;
       }
     }
-    blk.swap(keep);
+    blk.truncate(dst);
   };
-  if (plane != nullptr) {
-    plane->for_chunks(q, [&](int b, int e) {
-      for (int t = b; t < e; ++t) split_one(t);
-    });
-  } else {
-    for (int t = 0; t < q; ++t) split_one(t);
-  }
+  plane.for_chunks(q, [&](int b, int e) {
+    for (int t = b; t < e; ++t) split_one(t);
+  });
   for (int t = 0; t < q; ++t) {
     if (Policy::count(plus[static_cast<std::size_t>(t)]) != 0 ||
         Policy::count(minus[static_cast<std::size_t>(t)]) != 0)
@@ -267,23 +233,15 @@ bool exchange_migration_counts(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid,
 template <class Policy>
 void route_axis(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid, const CutoffGeometry& geom,
                 const particles::Box& box, std::vector<typename Policy::Buffer>& resident,
-                int axis, vmpi::DataPlane<typename Policy::Buffer>* plane) {
-  using Buffer = typename Policy::Buffer;
-  const int q = geom.teams();
+                int axis, vmpi::DataPlane<typename Policy::Buffer>& plane) {
+  const auto q = static_cast<std::size_t>(geom.teams());
   const int limit = (axis == 0 ? geom.qx() : geom.qy()) + 1;
   for (int round = 0; round < limit; ++round) {
-    std::vector<Buffer> plus;
-    std::vector<Buffer> minus;
+    auto plus = plane.pool.acquire_list(q);
+    auto minus = plane.pool.acquire_list(q);
     bool any = false;
     {
       vmpi::detail::HostPhaseTimer timer(vc, vmpi::Phase::Reassign);
-      if (plane != nullptr) {
-        plus = plane->pool.acquire_list(static_cast<std::size_t>(q));
-        minus = plane->pool.acquire_list(static_cast<std::size_t>(q));
-      } else {
-        plus.resize(static_cast<std::size_t>(q));
-        minus.resize(static_cast<std::size_t>(q));
-      }
       any = split_teams<Policy>(vc, grid, geom, box, resident, axis, plus, minus, plane);
     }
     if (vc.owner_computes())
@@ -292,10 +250,8 @@ void route_axis(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid, const CutoffGeo
       exchange_lists<Policy>(vc, grid, geom, plus, resident, axis, /*direction=*/+1, plane);
       exchange_lists<Policy>(vc, grid, geom, minus, resident, axis, /*direction=*/-1, plane);
     }
-    if (plane != nullptr) {
-      plane->pool.release_list(std::move(plus));
-      plane->pool.release_list(std::move(minus));
-    }
+    plane.pool.release_list(std::move(plus));
+    plane.pool.release_list(std::move(minus));
     if (!any) break;
   }
 }
@@ -304,14 +260,13 @@ void route_axis(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid, const CutoffGeo
 
 /// Routes migrated particles home (real payloads) or charges the modeled
 /// migration cost (phantom payloads). Leaders exchange; replicas idle.
-/// `plane` selects the host execution arm (see file comment); outputs are
-/// bitwise identical either way.
+/// Real payloads move through `plane` (see file comment).
 template <class Policy>
 void reassign_spatial(vmpi::VirtualComm& vc, const vmpi::Grid2d& grid,
                       const CutoffGeometry& geom, const Policy& policy,
                       std::vector<typename Policy::Buffer>& resident,
                       const machine::MachineModel& machine,
-                      vmpi::DataPlane<typename Policy::Buffer>* plane = nullptr) {
+                      vmpi::DataPlane<typename Policy::Buffer>& plane) {
   if constexpr (Policy::kIsPhantom) {
     const double frac = policy.config().reassign_fraction;
     if (frac <= 0.0) return;  // empty payloads send no messages

@@ -59,14 +59,6 @@ class SpatialHaloDecomposition {
     integrator_ = std::move(integ);
   }
 
-  /// Attaches the host data plane: the re-assignment loop recycles its
-  /// route lists from the shared arena and compacts in place (see
-  /// core/reassign.hpp). nullptr selects the legacy host path; outputs are
-  /// bitwise identical either way.
-  void set_data_plane(std::shared_ptr<vmpi::DataPlane<Buffer>> plane) {
-    plane_ = std::move(plane);
-  }
-
   void step() {
     const auto& geom = cfg_.geometry;
     if constexpr (!Policy::kIsPhantom) {
@@ -109,7 +101,7 @@ class SpatialHaloDecomposition {
                   cfg_.machine.gamma_flop * kIntegrateFlopsPerParticle *
                       static_cast<double>(Policy::count(block)));
     }
-    reassign_spatial(vc_, grid_, cfg_.geometry, policy_, resident_, cfg_.machine, plane_.get());
+    reassign_spatial(vc_, grid_, cfg_.geometry, policy_, resident_, cfg_.machine, *plane_);
   }
 
   void run(int steps) {
@@ -126,6 +118,7 @@ class SpatialHaloDecomposition {
   vmpi::Grid2d grid_;
   vmpi::VirtualComm vc_;
   std::unique_ptr<particles::Integrator> integrator_;
+  /// Re-assignment's arena (core/reassign.hpp); no host pool: serial.
   std::shared_ptr<vmpi::DataPlane<Buffer>> plane_ = std::make_shared<vmpi::DataPlane<Buffer>>();
   std::vector<Buffer> resident_;
 };

@@ -18,7 +18,7 @@ void put_string(wire::Writer& w, const std::string& s) {
 }
 
 std::string get_string(wire::Reader& r) {
-  const auto n = static_cast<std::size_t>(r.scalar<std::uint64_t>());
+  const std::size_t n = r.count(1);
   std::string s(n, '\0');
   r.raw(s.data(), n);
   return s;
@@ -90,10 +90,10 @@ void snapshot_to_bytes(const MetricsRegistry& reg, int group, std::uint64_t step
 
 RegistrySnapshot snapshot_from_bytes(std::span<const std::byte> in) {
   wire::Reader r(in);
-  CANB_REQUIRE(r.scalar<std::uint32_t>() == kSnapshotMagic,
-               "telemetry snapshot frame: bad magic");
-  CANB_REQUIRE(r.scalar<std::uint32_t>() == kSnapshotVersion,
-               "telemetry snapshot frame: unsupported version");
+  if (r.scalar<std::uint32_t>() != kSnapshotMagic)
+    throw wire::DecodeError("telemetry snapshot frame: bad magic");
+  if (r.scalar<std::uint32_t>() != kSnapshotVersion)
+    throw wire::DecodeError("telemetry snapshot frame: unsupported version");
 
   RegistrySnapshot snap;
   snap.group = r.scalar<std::int32_t>();
@@ -106,10 +106,11 @@ RegistrySnapshot snapshot_from_bytes(std::span<const std::byte> in) {
     const auto type = static_cast<MetricType>(r.scalar<std::uint8_t>());
     const auto n_series = r.scalar<std::uint64_t>();
     for (std::uint64_t s = 0; s < n_series; ++s) {
-      const auto n_labels = r.scalar<std::uint64_t>();
+      // A label is two length-prefixed strings: at least 16 bytes.
+      const std::size_t n_labels = r.count(2 * sizeof(std::uint64_t));
       Labels labels;
-      labels.reserve(static_cast<std::size_t>(n_labels));
-      for (std::uint64_t l = 0; l < n_labels; ++l) {
+      labels.reserve(n_labels);
+      for (std::size_t l = 0; l < n_labels; ++l) {
         std::string k = get_string(r);
         std::string v = get_string(r);
         labels.emplace_back(std::move(k), std::move(v));
@@ -133,11 +134,11 @@ RegistrySnapshot snapshot_from_bytes(std::span<const std::byte> in) {
           break;
         }
         default:
-          CANB_REQUIRE(false, "telemetry snapshot frame: unknown metric type");
+          throw wire::DecodeError("telemetry snapshot frame: unknown metric type");
       }
     }
   }
-  CANB_REQUIRE(r.done(), "telemetry snapshot frame: trailing bytes");
+  if (!r.done()) throw wire::DecodeError("telemetry snapshot frame: trailing bytes");
   return snap;
 }
 

@@ -223,9 +223,11 @@ void SoaBlock::wire_get(wire::Reader& r) {
   r.lane(id);
   r.lane(aux0);
   r.lane(aux1);
-  // Replica blocks carry short velocity/aux lanes by contract
-  // (assign_replica_from); only the id lane defines size().
-  CANB_ASSERT(id.size() == n);
+  // Replica and visitor blocks carry short velocity/force/aux lanes by
+  // contract (assign_replica_from, assign_visitor_from); the kernel-input
+  // lanes always hold size() elements.
+  if (px.size() != n || py.size() != n || mass.size() != n || charge.size() != n || id.size() != n)
+    throw wire::DecodeError("SoaBlock frame: kernel-input lanes disagree with its size");
 }
 
 }  // namespace canb::particles

@@ -71,7 +71,6 @@ template <particles::ForceKernel K>
 class Simulation {
  public:
   using Policy = core::RealPolicy<K>;
-  using Buffer = typename Policy::Buffer;
 
   struct Config {
     Method method = Method::CaAllPairs;
@@ -96,12 +95,8 @@ class Simulation {
     /// Observability level (obs/telemetry.hpp). Off by default; attaching
     /// telemetry never changes clocks, ledgers, or trajectories (tested).
     obs::ObsLevel obs = obs::ObsLevel::Off;
-    /// Host data plane (vmpi/buffer_pool.hpp): pooled staging buffers,
-    /// lane-subset copies, and parallel broadcast/reduce data movement.
-    /// Leave it on. Off selects the legacy serial/allocating host path,
-    /// which the tests keep as their reference: tests/test_data_plane.cpp
-    /// pins ledgers, traces, and trajectories bitwise equal on both.
-    bool pooled_data_plane = true;
+    /// A constant (each engine owns a pooled data plane); perfbench reads it.
+    static constexpr bool pooled_data_plane = true;
     /// Real byte transport beneath the vmpi primitives (vmpi/transport.hpp).
     /// Null (the default) is the modeled arm: costs only, no fabric. When
     /// set, every message is serialized through the transport and receivers
@@ -135,15 +130,6 @@ class Simulation {
       : cfg_(std::move(cfg)),
         engine_(make_engine(cfg_, std::move(initial))) {
     set_integrator(cfg_.integrator);
-    // One DataPlane per run: every engine that supports it shares the same
-    // buffer arena (and later the same host pool via set_host_pool). A
-    // disabled plane hands engines a nullptr, selecting the legacy path.
-    if (cfg_.pooled_data_plane) plane_ = std::make_shared<vmpi::DataPlane<Buffer>>();
-    std::visit(
-        [&](auto& e) {
-          if constexpr (requires { e.set_data_plane(plane_); }) e.set_data_plane(plane_);
-        },
-        engine_);
     if (cfg_.fault) {
       fault_model_ = std::make_unique<vmpi::PerturbationModel>(*cfg_.fault, cfg_.p);
       comm().set_fault(fault_model_.get());
@@ -566,8 +552,6 @@ class Simulation {
   std::unique_ptr<vmpi::PerturbationModel> fault_model_;
   /// Heap-owned for the same move-stability reason as the fault model.
   std::unique_ptr<obs::Telemetry> telemetry_;
-  /// The run-wide host data plane (null when pooled_data_plane is false).
-  std::shared_ptr<vmpi::DataPlane<Buffer>> plane_;
   /// The attached host pool (null until set_host_pool): kept so
   /// finalize_telemetry can publish the scheduler's counters.
   std::shared_ptr<ThreadPool> pool_;

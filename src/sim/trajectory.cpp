@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "support/assert.hpp"
 
@@ -53,10 +54,12 @@ bool read_xyz_frame(std::istream& is, particles::Block& out, std::string* commen
 
 struct TrajectoryWriter::Impl {
   std::ofstream file;
+  std::string path;
 };
 
 TrajectoryWriter::TrajectoryWriter(const std::string& path, Format format)
     : impl_(new Impl), format_(format) {
+  impl_->path = path;
   impl_->file.open(path);
   CANB_REQUIRE(impl_->file.good(), "cannot open trajectory file: " + path);
   if (format_ == Format::Csv) {
@@ -78,6 +81,8 @@ void TrajectoryWriter::append(const particles::Block& ps, int step, double time)
                   << p.charge << '\n';
     }
   }
+  if (!impl_->file.flush())
+    throw std::runtime_error("cannot write trajectory file: " + impl_->path);
   ++frames_;
 }
 

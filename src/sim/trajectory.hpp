@@ -41,7 +41,8 @@ class TrajectoryWriter {
   TrajectoryWriter(const TrajectoryWriter&) = delete;
   TrajectoryWriter& operator=(const TrajectoryWriter&) = delete;
 
-  /// Writes one frame; `step` and `time` go into the frame header.
+  /// Writes and flushes one frame; `step` and `time` go into the frame
+  /// header. Throws std::runtime_error naming the file if the write fails.
   void append(const particles::Block& ps, int step, double time);
 
   int frames_written() const noexcept { return frames_; }

@@ -15,19 +15,29 @@
 // socket. Integers in framing positions (counts) are fixed-width u64 in
 // native byte order — all endpoints of an in-host or same-arch run agree,
 // and cross-arch transport is out of scope for now.
+//
+// Decoding reads another process's bytes, so a malformed frame is an
+// error the run reports, not an invariant: Reader checks every count
+// against the bytes left before it allocates, and throws DecodeError on
+// underflow, an oversized count or trailing bytes.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
-
-#include "support/assert.hpp"
 
 namespace canb::wire {
 
 using Bytes = std::vector<std::byte>;
+
+/// A frame that does not decode: too short, a count past its end, or
+/// bytes left over.
+struct DecodeError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Appends scalars / raw ranges to a byte vector. The target vector is
 /// cleared on construction; capacity is retained, so reusing one Bytes
@@ -61,16 +71,23 @@ class Writer {
   Bytes* out_;
 };
 
-/// Consumes what Writer produced. Underflow is an internal invariant
-/// violation (a framing bug), not a user error: CANB_ASSERT aborts.
+/// Consumes what Writer produced; throws DecodeError on underflow.
 class Reader {
  public:
   explicit Reader(std::span<const std::byte> in) noexcept : in_(in) {}
 
   void raw(void* p, std::size_t n) {
-    CANB_ASSERT_MSG(pos_ + n <= in_.size(), "wire::Reader underflow");
+    if (n > remaining()) throw DecodeError("wire: frame underflow");
     if (n != 0) std::memcpy(p, in_.data() + pos_, n);
     pos_ += n;
+  }
+
+  /// Reads a u64 element count and checks that `n * min_bytes` bytes still
+  /// follow it, so a corrupt count cannot make the caller allocate.
+  std::size_t count(std::size_t min_bytes) {
+    const auto n = scalar<std::uint64_t>();
+    if (n > remaining() / min_bytes) throw DecodeError("wire: count exceeds the frame");
+    return static_cast<std::size_t>(n);
   }
 
   template <class T>
@@ -86,7 +103,7 @@ class Reader {
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void lane(std::vector<T>& v) {
-    const auto n = static_cast<std::size_t>(scalar<std::uint64_t>());
+    const std::size_t n = count(sizeof(T));
     v.resize(n);
     raw(v.data(), n * sizeof(T));
   }
@@ -144,7 +161,7 @@ template <class B>
 void from_bytes(B& b, std::span<const std::byte> in) {
   Reader r(in);
   get(r, b);
-  CANB_ASSERT_MSG(r.done(), "wire::from_bytes: trailing bytes in frame");
+  if (!r.done()) throw DecodeError("wire: trailing bytes in frame");
 }
 
 }  // namespace canb::wire

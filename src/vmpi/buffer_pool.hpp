@@ -1,11 +1,9 @@
 // BufferPool + DataPlane: the zero-allocation, host-parallel side of the
 // vmpi data plane.
 //
-// The communication primitives (primitives.hpp) and the spatial
-// re-assignment loop (core/reassign.hpp) used to allocate staging blocks on
-// every call: fresh per-round route lists, default-constructed scratch, and
-// copy-assignments that could not promise capacity reuse. A BufferPool is a
-// recycling arena for those blocks: release() keeps a block's heap capacity
+// A BufferPool is a recycling arena for the staging blocks of the
+// communication primitives (primitives.hpp) and the spatial re-assignment
+// loop (core/reassign.hpp): release() keeps a block's heap capacity
 // (SoaBlock lanes keep their vectors, clear()ed to size zero) and acquire()
 // hands it back, so after a warm-up step the hot path performs no heap
 // allocation at all (pinned by tests/test_data_plane.cpp with a counting
@@ -113,10 +111,9 @@ class BufferPool {
 };
 
 /// The host-execution context the engines thread through the primitives:
-/// one arena per run (engines share it via sim::Simulation) plus the host
-/// worker pool for disjoint-destination copies. A null plane pointer in a
-/// primitive selects the legacy serial/allocating path — the pool-off arm
-/// the data-plane property test compares against bitwise.
+/// one arena per engine plus the host worker pool for disjoint-destination
+/// copies. Every data-moving primitive and reassign_spatial takes one; it
+/// is the only way the host moves particles.
 template <class B>
 struct DataPlane {
   BufferPool<B> pool;

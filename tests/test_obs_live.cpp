@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "obs/step_series.hpp"
 #include "particles/init.hpp"
 #include "sim/simulation.hpp"
+#include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "support/wire.hpp"
 
@@ -70,6 +72,52 @@ TEST(ObsSnapshot, RoundTripPreservesRegistry) {
     EXPECT_EQ(snap.step, 17u);
     EXPECT_EQ(canon(snap.metrics), canon(reg)) << "seed " << seed;
   }
+}
+
+// A snapshot frame is another process's bytes: every truncation throws,
+// and a frame with flipped bytes decodes or throws — a corrupt count never
+// aborts or allocates what it asks for (the ASan/UBSan CI leg runs these).
+
+wire::Bytes labeled_snapshot() {
+  auto reg = make_local_registry(5);
+  reg.counter("canb_transport_retransmits_total", {{"group", "1"}, {"peer", "0"}}, "retx").inc(3);
+  wire::Bytes buf;
+  obs::snapshot_to_bytes(reg, 1, 9, buf);
+  return buf;
+}
+
+TEST(ObsSnapshot, EveryTruncationThrows) {
+  const auto buf = labeled_snapshot();
+  for (std::size_t len = 0; len < buf.size(); ++len) {
+    EXPECT_THROW(obs::snapshot_from_bytes(std::span<const std::byte>(buf).first(len)),
+                 wire::DecodeError)
+        << "prefix of " << len << " of " << buf.size() << " bytes";
+  }
+}
+
+TEST(ObsSnapshot, FlippedBytesDecodeOrThrow) {
+  const auto buf = labeled_snapshot();
+  SplitMix64 rng(2013);
+  int thrown = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    wire::Bytes bad = buf;
+    const int flips = 1 + static_cast<int>(rng.next() % 3);
+    for (int f = 0; f < flips; ++f) {
+      const auto at = static_cast<std::size_t>(rng.next() % bad.size());
+      bad[at] ^= static_cast<std::byte>(1u + rng.next() % 255u);
+    }
+    // wire::DecodeError for framing, PreconditionError for a registry the
+    // frame describes but the library rejects (unsorted edges, ...). Any
+    // other exception (std::bad_alloc from a trusted count) fails the test.
+    try {
+      (void)obs::snapshot_from_bytes(bad);
+    } catch (const wire::DecodeError&) {
+      ++thrown;
+    } catch (const PreconditionError&) {
+      ++thrown;
+    }
+  }
+  EXPECT_GT(thrown, 0);
 }
 
 TEST(ObsSnapshot, EmptyRegistryRoundTrips) {

@@ -24,6 +24,7 @@
 #include <exception>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -39,6 +40,7 @@
 #include "particles/soa_block.hpp"
 #include "sim/simulation.hpp"
 #include "support/assert.hpp"
+#include "support/rng.hpp"
 #include "support/wire.hpp"
 #include "vmpi/primitives.hpp"
 #include "vmpi/socket_transport.hpp"
@@ -380,6 +382,54 @@ TEST(WireFormat, EmptyBlockAndScalarFallback) {
   EXPECT_EQ(w, v);
 }
 
+// A frame is another process's bytes: every malformed one must decode or
+// throw wire::DecodeError, never abort or allocate what a corrupt count
+// asks for (the ASan/UBSan CI leg runs these too).
+
+wire::Bytes block_frame() {
+  const auto src = particles::init_uniform(13, particles::Box::reflective_2d(1.0), 7, 0.05);
+  SoaBlock blk;
+  for (const auto& p : src) blk.push_back(p);
+  wire::Bytes bytes;
+  wire::to_bytes(blk, bytes);
+  return bytes;
+}
+
+TEST(WireFormat, EveryTruncatedSoaBlockThrows) {
+  const auto bytes = block_frame();
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    SoaBlock back;
+    EXPECT_THROW(wire::from_bytes(back, std::span<const std::byte>(bytes).first(len)),
+                 wire::DecodeError)
+        << "prefix of " << len << " of " << bytes.size() << " bytes";
+  }
+  wire::Bytes longer = bytes;
+  longer.push_back(std::byte{0});
+  SoaBlock back;
+  EXPECT_THROW(wire::from_bytes(back, longer), wire::DecodeError) << "a trailing byte";
+}
+
+TEST(WireFormat, FlippedSoaBlockBytesDecodeOrThrow) {
+  const auto bytes = block_frame();
+  SplitMix64 rng(2013);
+  int thrown = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    wire::Bytes bad = bytes;
+    const int flips = 1 + static_cast<int>(rng.next() % 3);
+    for (int f = 0; f < flips; ++f) {
+      const auto at = static_cast<std::size_t>(rng.next() % bad.size());
+      bad[at] ^= static_cast<std::byte>(1u + rng.next() % 255u);
+    }
+    SoaBlock back;
+    try {
+      wire::from_bytes(back, bad);
+    } catch (const wire::DecodeError&) {
+      ++thrown;
+    }
+  }
+  EXPECT_GT(thrown, 0) << "flips that hit a count or a length must be rejected";
+}
+
 // ---------------------------------------------------------------------------
 // Primitive-level conformance: with a single-endpoint transport attached,
 // broadcast / skew / shift / permute / reduce must leave buffers bitwise
@@ -402,14 +452,14 @@ std::vector<SoaBlock> run_primitive_round(Transport* t) {
     for (const auto& part : blk) bufs[static_cast<std::size_t>(g.leader(col))].push_back(part);
   }
 
-  vmpi::broadcast_teams(vc, g, bufs, &Policy::bytes, vmpi::Phase::Broadcast);
-  vmpi::skew_rows(vc, g, [](int row) { return row; }, bufs, &Policy::bytes, vmpi::Phase::Skew);
+  vmpi::DataPlane<SoaBlock> plane;
+  vmpi::broadcast_teams(vc, g, bufs, &Policy::bytes, plane);
+  vmpi::skew_rows(vc, g, [](int row) { return row; }, bufs, &Policy::bytes, plane.ints);
   vmpi::shift_rows(vc, g, 1, bufs, &Policy::bytes);
   std::vector<SoaBlock> scratch;
   vmpi::permute_buffers(vc, [p](int r) { return (r + 3) % p; }, bufs, scratch, &Policy::bytes,
                         vmpi::Phase::Shift);
-  vmpi::reduce_teams(vc, g, bufs, &Policy::bytes, core::TeamCombine<Policy>{},
-                     vmpi::Phase::Reduce);
+  vmpi::reduce_teams(vc, g, bufs, &Policy::bytes, core::TeamCombine<Policy>{}, plane);
   return bufs;
 }
 

@@ -180,7 +180,8 @@ TEST(Primitives, SkewRowsShiftsByRowIndex) {
   const auto g = Grid2d::make(9, 3);  // 3 rows x 3 cols
   std::vector<int> bufs(9);
   std::iota(bufs.begin(), bufs.end(), 0);
-  skew_rows(vc, g, [](int row) { return row; }, bufs, [](int) { return 4.0; });
+  std::vector<int> dist;
+  skew_rows(vc, g, [](int row) { return row; }, bufs, [](int) { return 4.0; }, dist);
   for (int row = 0; row < 3; ++row) {
     for (int col = 0; col < 3; ++col) {
       // Holds the buffer from col - row.
@@ -199,7 +200,8 @@ TEST(Primitives, BroadcastTeamsCopiesLeaderBuffer) {
   std::vector<std::vector<int>> bufs(6);
   bufs[static_cast<std::size_t>(g.leader(0))] = {10};
   bufs[static_cast<std::size_t>(g.leader(1))] = {20};
-  broadcast_teams(vc, g, bufs, [](const std::vector<int>& b) { return b.size() * 4; });
+  DataPlane<std::vector<int>> plane;
+  broadcast_teams(vc, g, bufs, [](const std::vector<int>& b) { return b.size() * 4; }, plane);
   for (int row = 0; row < 3; ++row) {
     EXPECT_EQ(bufs[static_cast<std::size_t>(g.rank(row, 0))], std::vector<int>{10});
     EXPECT_EQ(bufs[static_cast<std::size_t>(g.rank(row, 1))], std::vector<int>{20});
@@ -212,7 +214,9 @@ TEST(Primitives, ReduceTeamsCombinesIntoLeader) {
   VirtualComm vc(6, flat_machine());
   const auto g = Grid2d::make(6, 3);
   std::vector<int> bufs{1, 10, 2, 20, 4, 40};  // rank-major: rows x 2 cols
-  reduce_teams(vc, g, bufs, [](int) { return 4.0; }, [](int& acc, const int& in) { acc += in; });
+  DataPlane<int> plane;
+  reduce_teams(vc, g, bufs, [](int) { return 4.0; }, [](int& acc, const int& in) { acc += in; },
+               plane);
   EXPECT_EQ(bufs[static_cast<std::size_t>(g.leader(0))], 1 + 2 + 4);
   EXPECT_EQ(bufs[static_cast<std::size_t>(g.leader(1))], 10 + 20 + 40);
 }

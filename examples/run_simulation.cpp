@@ -33,9 +33,6 @@
 //                      launched groups (requires --transport-dir)
 //   --transport-dir    socket: shared rendezvous directory (default: a
 //                      fresh private temp dir when forking)
-//   --transport-drop   socket: seeded egress drop probability on data
-//                      frames, exercising the reliable channel
-//   --transport-drop-seed  seed for that drop stream (default 1)
 // With --transport=socket only the group-0 process prints and writes
 // output files; the other groups compute, feed the fabric, and exit. A
 // crashed group fails the whole run with that group's exit status; a
@@ -168,7 +165,7 @@ const std::vector<std::string> kOptions = {
     "straggler", "jitter", "drop-rate", "link-degrade", "obs-level", "metrics-out",
     "trace-out", "spans-csv", "serve", "serve-linger", "series-out", "series-capacity",
     "straggler-factor", "transport", "transport-groups", "transport-group", "transport-dir",
-    "transport-drop", "transport-drop-seed", "help"};
+    "help"};
 
 /// Everything the options decide, parsed and validated before any process
 /// is forked or any simulation state is built.
@@ -220,18 +217,14 @@ RunPlan plan_run(const CliArgs& args) {
     CANB_REQUIRE(kind.has_value(), "unknown --transport (modeled | socket): " + tname);
     const bool socket = *kind == vmpi::TransportKind::Socket;
     CANB_REQUIRE(socket || (!args.has("transport-groups") && !args.has("transport-group") &&
-                            !args.has("transport-dir") && !args.has("transport-drop")),
-                 "--transport-groups/-group/-dir/-drop need --transport=socket");
+                            !args.has("transport-dir")),
+                 "--transport-groups/-group/-dir need --transport=socket");
     if (socket) {
       CANB_REQUIRE(sim::runs_over_transport(cfg.method),
                    std::string("--transport=socket runs only ca-all-pairs and ca-cutoff, not ") +
                        sim::method_name(cfg.method));
       vmpi::SocketConfig& sc = plan.socket.emplace();
       sc.ranks = cfg.p;
-      sc.drop_rate = args.get_double("transport-drop", 0.0);
-      sc.drop_seed = static_cast<std::uint64_t>(args.get_int("transport-drop-seed", 1));
-      CANB_REQUIRE(sc.drop_rate >= 0.0 && sc.drop_rate < 1.0,
-                   "--transport-drop must be in [0, 1) (1 would never deliver)");
       sc.groups = static_cast<int>(args.get_int("transport-groups", 2));
       CANB_REQUIRE(sc.groups >= 1 && sc.groups <= cfg.p, "--transport-groups must be in [1, p]");
       sc.dir = args.get("transport-dir", "");

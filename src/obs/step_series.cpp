@@ -68,7 +68,6 @@ void write_sample(JsonWriter& w, const StepSample& s) {
   w.kv("clock_advance_seconds", s.clock_advance_seconds);
   w.kv("pairs_examined", s.pairs_examined);
   w.kv("pairs_computed", s.pairs_computed);
-  w.kv("retransmits", s.retransmits);
   w.kv("host_phase_seconds", s.host_phase_seconds);
   w.kv("straggler", s.straggler);
   w.end_object();

@@ -165,17 +165,6 @@ void Telemetry::publish_transport(std::string_view kind, const vmpi::TransportSt
   registry_
       .counter("canb_transport_bytes_received_total", with_group({}), "payload bytes delivered")
       .inc(stats.bytes_received - last_transport_.bytes_received);
-  registry_
-      .counter("canb_transport_retransmits_total", with_group({}),
-               "reliable-channel data frames re-sent after a timeout")
-      .inc(stats.retransmits - last_transport_.retransmits);
-  registry_
-      .counter("canb_transport_acks_total", with_group({}), "reliable-channel acks emitted")
-      .inc(stats.acks_sent - last_transport_.acks_sent);
-  registry_
-      .counter("canb_transport_duplicates_total", with_group({}),
-               "duplicate/stale frames discarded by the reliable channel")
-      .inc(stats.duplicates_dropped - last_transport_.duplicates_dropped);
   last_transport_ = stats;
 }
 

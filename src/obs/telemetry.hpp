@@ -101,11 +101,10 @@ class Telemetry final : public vmpi::CommObserver {
   void publish_scheduler(std::string_view mode, const SchedulerStats& stats);
 
   /// Publishes real-transport fabric counters (vmpi/transport.hpp):
-  /// canb_transport_frames/bytes sent/received, reliable-channel
-  /// retransmit/ack/duplicate totals, and a canb_transport_info{kind=...}
-  /// marker gauge. Fabric observability only — the virtual-cost ledger is
-  /// charged before any of these bytes move, so these series never feed
-  /// back. Delta-based like publish_scheduler, so the live scrape plane can
+  /// canb_transport_frames/bytes sent/received totals and a
+  /// canb_transport_info{kind=...} marker gauge. Fabric observability
+  /// only — the virtual-cost ledger is charged before any of these bytes
+  /// move, so these series never feed back. Delta-based like publish_scheduler, so the live scrape plane can
   /// call it each step. A no-op until the first frame moves.
   void publish_transport(std::string_view kind, const vmpi::TransportStats& stats);
 

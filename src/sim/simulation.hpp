@@ -233,7 +233,6 @@ class Simulation {
       sample.clock_advance_seconds = max_virtual_clock();
       sample.pairs_examined = telemetry_->sweep_pairs_examined();
       sample.pairs_computed = telemetry_->sweep_pairs_computed();
-      sample.retransmits = cfg_.transport ? cfg_.transport->stats().retransmits : 0;
       sample.host_phase_seconds = telemetry_->host_seconds();
     }
 
@@ -249,8 +248,6 @@ class Simulation {
         sample.clock_advance_seconds = max_virtual_clock() - sample.clock_advance_seconds;
         sample.pairs_examined = telemetry_->sweep_pairs_examined() - sample.pairs_examined;
         sample.pairs_computed = telemetry_->sweep_pairs_computed() - sample.pairs_computed;
-        sample.retransmits =
-            (cfg_.transport ? cfg_.transport->stats().retransmits : 0) - sample.retransmits;
         sample.host_phase_seconds = telemetry_->host_seconds() - sample.host_phase_seconds;
         series_->record(sample);
       }

@@ -1,6 +1,5 @@
 // Multi-process socket transport: one OS process per rank group, a full
-// mesh of Unix-domain stream sockets, length-prefixed frames, and the
-// reliable-channel layer from reliable.hpp on every connection.
+// mesh of Unix-domain stream sockets, length-prefixed frames.
 //
 // Rendezvous protocol (docs/TRANSPORT.md):
 //   1. every group binds + listens on <dir>/g<group>.sock;
@@ -10,14 +9,13 @@
 //      its Hello;
 //   4. a two-phase barrier through group 0 confirms the mesh.
 //
-// Each peer connection gets a dedicated reader thread that drains the fd
-// continuously — so a send can never deadlock against a peer that is also
-// sending — feeding a ReliableReceiver whose in-order deliveries land in
-// per-destination-rank mailboxes (one mutex and condition variable each).
-// Acks ride the same fd in the reverse direction. Retransmits are driven by
-// the orchestration thread: recv() pumps every sender's timeout wheel while
-// it waits, so a dropped frame is re-sent even when the application is
-// blocked.
+// Delivery: a stream socket delivers every byte once and in order, or the
+// connection ends. So each frame is written once and read once; there are
+// no sequence numbers, acks or retransmits. Each peer connection gets a
+// dedicated reader thread that blocks in read() — so a send can never
+// deadlock against a peer that is also sending — and lands every payload
+// in a per-destination-rank mailbox (one mutex and condition variable
+// each).
 //
 // Ranks are block-partitioned across groups. Rank locality decides
 // routing: local->local sends short-circuit through the mailbox; frames
@@ -26,49 +24,74 @@
 // ranks it owns and adopts the wire bytes for them; local(dst)==false
 // means some *other* process installs those bytes.
 //
-// Failure: when a connection ends (EOF, a read or write error, or a frame
-// whose length prefix exceeds kMaxFrameBodyBytes), the reader records the
-// peer as gone. recv(), barrier() and send() then throw TransportError for
-// any flow that needs that peer, instead of waiting forever. An EOF after
-// this endpoint began its own teardown is a peer's orderly close. Teardown
-// skips the flush and close barrier when a peer is gone or an exception is
-// unwinding, so surviving peers see the connection close and fail in turn.
+// Failure: when a connection ends (EOF, a read or write error, a length
+// prefix outside [kFrameHeaderBytes, kMaxFrameBodyBytes], or a frame that
+// peer may not send), the peer is lost: every waiter wakes, and recv(),
+// barrier() and send() throw TransportError for any flow that needs that
+// peer, instead of waiting forever. An EOF after this endpoint began its
+// own teardown is a peer's orderly close. Teardown skips the close barrier
+// when a peer is gone or an exception is unwinding, so surviving peers see
+// the connection close and fail in turn.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <sys/types.h>
 
-#include "support/rng.hpp"
-#include "vmpi/reliable.hpp"
+#include "support/wire.hpp"
 #include "vmpi/transport.hpp"
 
 namespace canb::vmpi {
+
+enum class FrameKind : std::uint8_t {
+  Data = 1,     ///< application payload
+  Hello = 3,    ///< connection rendezvous; src = sender's group id
+  Barrier = 4,  ///< group-level rendezvous token; the epoch rides in tag
+};
+
+/// One frame. For Data frames src/dst/tag identify the vmpi flow; for
+/// control frames src/dst carry group ids. `payload` is a view: of the
+/// caller's bytes when encoding, of the decoded body when decoding.
+struct Frame {
+  FrameKind kind = FrameKind::Data;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint64_t tag = 0;
+  std::span<const std::byte> payload;
+};
+
+/// Wire image: [u64 body_len][u8 kind][u32 src][u32 dst][u64 tag][payload].
+/// body_len counts everything after the length word, so a byte stream is
+/// self-delimiting (length-prefixed framing). Clears `out` first.
+void encode_frame(const Frame& f, wire::Bytes& out);
+/// Decodes a frame body (everything after the length word); the payload
+/// views `body`. Throws wire::DecodeError when the body is shorter than
+/// the header.
+Frame decode_frame_body(std::span<const std::byte> body);
+
+/// Number of bytes in the fixed header *after* the u64 length prefix.
+inline constexpr std::size_t kFrameHeaderBytes = 1 + 4 + 4 + 8;
+
+/// Largest frame body a reader accepts, checked before it allocates: a
+/// length prefix outside [kFrameHeaderBytes, kMaxFrameBodyBytes] is a
+/// corrupt or hostile stream, not a frame. 1 GiB is far above anything the
+/// library sends (a team block of 10^6 particles serializes to ~50 MB).
+inline constexpr std::uint64_t kMaxFrameBodyBytes = std::uint64_t{1} << 30;
 
 struct SocketConfig {
   int ranks = 0;
   int groups = 1;
   int group = 0;
   std::string dir;  ///< rendezvous directory holding the g<k>.sock paths
-  ReliableConfig reliable;
-  /// Deliberate egress drop injection for sequenced frames (tests): each
-  /// Data/Barrier write is discarded with this probability, forcing the
-  /// reliable layer to recover via retransmit.
-  double drop_rate = 0;
-  std::uint64_t drop_seed = 1;
-  /// How long recv() waits on the mailbox before pumping retransmit
-  /// timers. Only matters when frames can be lost.
-  double recv_poll_seconds = 0.002;
 };
 
 class SocketTransport final : public Transport {
@@ -87,8 +110,8 @@ class SocketTransport final : public Transport {
   void recv(int src, int dst, std::uint64_t tag, wire::Bytes& out) override;
 
   /// Two-phase rendezvous through group 0: everyone reports in, group 0
-  /// releases everyone. Barrier frames are sequenced like data, so a
-  /// completed barrier proves in-order receipt of everything before it.
+  /// releases everyone. A barrier frame shares its connection's stream with
+  /// data, so it arrives after every frame its sender wrote there before it.
   /// Throws TransportError when the group it waits on is gone.
   void barrier() override;
 
@@ -109,24 +132,18 @@ class SocketTransport final : public Transport {
   struct Peer;
 
   void rendezvous(int& listen_fd);
-  double now() const;
   void post_local(int src, int dst, std::uint64_t tag, wire::Bytes frame);
-  void egress_locked(Peer& p, const Frame& f);  // requires p.io_mu held
-  bool send_sequenced(Peer& p, Frame f);         // false when the peer is gone
-  void lose_peer_locked(Peer& p, std::string why);  // requires p.io_mu held
+  bool write_frame(Peer& p, const Frame& f);  // false when the peer is gone
+  std::string check_frame(const Peer& p, const Frame& f, std::uint64_t payload_bytes) const;
   void lose_peer(Peer& p, std::string why);
   [[noreturn]] void throw_lost(Peer& p, const std::string& flow);
   bool peers_alive() const;
-  void pump_peer(Peer& p);
-  void pump();
-  void flush_peers();
   void close_peers() noexcept;
   void reader_loop(Peer& p);
   void note_barrier(std::uint32_t from_group, std::uint64_t epoch);
   void wait_barrier(std::uint32_t from_group, std::uint64_t epoch);
 
   SocketConfig cfg_;
-  std::chrono::steady_clock::time_point epoch_start_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;  // indexed by local rank slot
   std::vector<std::unique_ptr<Peer>> peers_;     // indexed by peer group id (self slot unused)
   std::string listen_path_;

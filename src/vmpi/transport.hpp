@@ -27,9 +27,8 @@
 //     reference implementation of the contract; also useful to exercise
 //     serialization without concurrency in the mix.
 //   - SocketTransport (socket_transport.hpp): one OS process per rank
-//     group, length-prefixed frames over Unix-domain sockets with a
-//     reliable-channel layer (reliable.hpp). Callers build it from a
-//     SocketConfig.
+//     group, length-prefixed frames over Unix-domain stream sockets.
+//     Callers build it from a SocketConfig.
 #pragma once
 
 #include <cstdint>
@@ -99,9 +98,7 @@ struct TransportStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_received = 0;
-  std::uint64_t retransmits = 0;       ///< reliable-channel data re-sends
-  std::uint64_t acks_sent = 0;         ///< reliable-channel acks emitted
-  std::uint64_t duplicates_dropped = 0;///< stale/duplicate frames discarded
+  std::uint64_t retransmits = 0;  ///< always 0 (a stream socket never resends); perfbench reads it
 };
 
 class Transport {

@@ -2,7 +2,8 @@
 // semantics, and the engines' behaviour under a degraded virtual machine.
 //
 //  F1  drop/retry plans are deterministic for a fixed seed and (statistically)
-//      distinct across seeds; retries are bounded by max_attempts - 1
+//      distinct across seeds; retries are bounded by max_attempts - 1; k
+//      forced drops charge the closed-form timeout/backoff sum
 //  F2  under random drop rates every message is still delivered: particle
 //      sets are conserved and the clock == sum-of-phases invariant holds
 //  F3  a fixed --fault-seed gives identical perturbed ledgers, clocks, and
@@ -17,6 +18,7 @@
 // suite under several fixed seeds); default 2013.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -113,6 +115,32 @@ TEST(Faults, DeliveryPlansAreSeedDeterministicAndBounded) {
     any_difference = c.plan_delivery(i % 8, 1e-6).retries != a2.plan_delivery(i % 8, 1e-6).retries;
   }
   EXPECT_TRUE(any_difference);
+}
+
+// For k dropped attempts on a message of clean cost a, with timeout_factor
+// f and backoff b, plan_delivery charges
+//     retries = timeouts = k,
+//     extra_seconds = sum_{i<k} (f*a*b^i + a).
+// A drop rate this close to 1 drops every attempt the model allows (the
+// config rejects exactly 1), so max_attempts = k+1 forces exactly k drops.
+TEST(Faults, ForcedDropsChargeClosedFormBackoff) {
+  constexpr double kAttemptCost = 0.012;
+  for (const int k : {1, 3, 7}) {
+    SCOPED_TRACE(::testing::Message() << k << " drops");
+    vmpi::FaultConfig cfg;
+    cfg.seed = fault_seed();
+    cfg.drop_rate = 1.0 - 1e-12;
+    cfg.max_attempts = k + 1;  // defaults: timeout_factor 3, backoff 2
+    ASSERT_EQ(cfg.timeout_factor, 3.0);
+    ASSERT_EQ(cfg.backoff, 2.0);
+    vmpi::PerturbationModel model(cfg, /*p=*/2);
+    const auto d = model.plan_delivery(/*dst=*/1, kAttemptCost);
+    EXPECT_EQ(d.retries, static_cast<std::uint64_t>(k));
+    EXPECT_EQ(d.timeouts, static_cast<std::uint64_t>(k));
+    double want = 0.0;
+    for (int i = 0; i < k; ++i) want += 3.0 * kAttemptCost * std::pow(2.0, i) + kAttemptCost;
+    EXPECT_NEAR(d.extra_seconds, want, 1e-12);
+  }
 }
 
 TEST(Faults, ZeroRateFactorsAreExactlyNeutral) {

@@ -1,11 +1,11 @@
 // Owner-computes acceptance: with --transport=socket and G > 1 groups each
 // OS process runs force sweeps only for its owned ranks, yet the message
 // trace, CostLedger-derived report, and the gathered trajectory stay
-// bitwise identical to the single-process modeled arm — clean and under
-// seeded frame drops, across both CA engines and host thread counts.
+// bitwise identical to the single-process modeled arm, across both CA
+// engines, group counts and host thread counts.
 //
 // Two families of checks:
-//   * Parity matrix (groups {2,4} x threads {1,2} x engines x drop): every
+//   * Parity matrix (groups {2,4} x threads {1,2} x engines): every
 //     process self-checks trace + gathered state + report against the
 //     pre-fork modeled baseline.
 //   * Work partition: per-group canb_sweep_pairs_computed_total series (the
@@ -17,7 +17,7 @@
 // Fork discipline mirrors tests/test_transport_e2e.cpp: baseline before the
 // fork (no live threads at fork time — the baseline's ThreadPool dies with
 // its Simulation), children compare and _Exit, the transport endpoint is
-// destroyed (flush + close-barrier) before children are reaped.
+// destroyed (close barrier) before children are reaped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -69,7 +69,7 @@ RunResult run_arm(sim::Method method, int threads, std::shared_ptr<vmpi::Transpo
 
 /// Every group self-checks; forked children compare with the plain-bool
 /// runs_equal (no gtest there) and report through their exit status.
-void run_parity_case(sim::Method method, int groups, int threads, double drop_rate) {
+void run_parity_case(sim::Method method, int groups, int threads) {
   // Baseline first: forked children inherit it and self-check against it.
   const auto want = run_arm(method, threads, nullptr);
   const std::string dir = vmpi::make_rendezvous_dir();
@@ -82,12 +82,10 @@ void run_parity_case(sim::Method method, int groups, int threads, double drop_ra
     sc.groups = groups;
     sc.group = pg.group();
     sc.dir = dir;
-    sc.drop_rate = drop_rate;
-    sc.drop_seed = 11;
     auto t = std::make_shared<vmpi::SocketTransport>(sc);
     const auto got = run_arm(method, threads, t);
     ok = runs_equal(got, want);
-    // Scope exit drops the endpoint: flush + close-barrier runs here, while
+    // Scope exit drops the endpoint: the close barrier runs here, while
     // every process is still alive.
   }
   if (!pg.primary()) std::_Exit(ok ? 0 : 1);
@@ -98,29 +96,20 @@ void run_parity_case(sim::Method method, int groups, int threads, double drop_ra
   std::filesystem::remove_all(dir, ec);
 }
 
-TEST(OwnerComputes, AllPairsTwoGroupsClean) {
-  run_parity_case(sim::Method::CaAllPairs, 2, 1, 0.0);
+// The matrix: groups {2, 4} x threads {1, 2} for each method.
+TEST(OwnerComputes, AllPairsTwoGroupsClean) { run_parity_case(sim::Method::CaAllPairs, 2, 1); }
+TEST(OwnerComputes, AllPairsFourGroupsClean) { run_parity_case(sim::Method::CaAllPairs, 4, 2); }
+TEST(OwnerComputes, AllPairsTwoGroupsTwoThreads) {
+  run_parity_case(sim::Method::CaAllPairs, 2, 2);
 }
-TEST(OwnerComputes, AllPairsFourGroupsClean) {
-  run_parity_case(sim::Method::CaAllPairs, 4, 2, 0.0);
+TEST(OwnerComputes, AllPairsFourGroupsOneThread) {
+  run_parity_case(sim::Method::CaAllPairs, 4, 1);
 }
-TEST(OwnerComputes, AllPairsTwoGroupsLossy) {
-  run_parity_case(sim::Method::CaAllPairs, 2, 2, 0.1);
-}
-TEST(OwnerComputes, AllPairsFourGroupsLossy) {
-  run_parity_case(sim::Method::CaAllPairs, 4, 1, 0.1);
-}
-TEST(OwnerComputes, CutoffTwoGroupsClean) {
-  run_parity_case(sim::Method::CaCutoff, 2, 2, 0.0);
-}
-TEST(OwnerComputes, CutoffFourGroupsClean) {
-  run_parity_case(sim::Method::CaCutoff, 4, 1, 0.0);
-}
-TEST(OwnerComputes, CutoffTwoGroupsLossy) {
-  run_parity_case(sim::Method::CaCutoff, 2, 1, 0.1);
-}
-TEST(OwnerComputes, CutoffFourGroupsLossy) {
-  run_parity_case(sim::Method::CaCutoff, 4, 2, 0.1);
+TEST(OwnerComputes, CutoffTwoGroupsClean) { run_parity_case(sim::Method::CaCutoff, 2, 2); }
+TEST(OwnerComputes, CutoffFourGroupsClean) { run_parity_case(sim::Method::CaCutoff, 4, 1); }
+TEST(OwnerComputes, CutoffTwoGroupsOneThread) { run_parity_case(sim::Method::CaCutoff, 2, 1); }
+TEST(OwnerComputes, CutoffFourGroupsTwoThreads) {
+  run_parity_case(sim::Method::CaCutoff, 4, 2);
 }
 
 std::uint64_t sum_counter(const obs::MetricsRegistry& reg, const std::string& name,

@@ -3,9 +3,7 @@
 // driven in-process) must be bitwise identical to the no-transport modeled
 // arm — trajectories, every CostLedger-derived report field, and the full
 // serialized message trace. The matrix extends tests/test_data_plane.cpp's
-// idiom: backends x CA engines x host thread counts, plus a lossy socket
-// arm that must recover through the reliable channel without perturbing
-// anything.
+// idiom: backends x CA engines x host thread counts.
 //
 // Why this is a strong test: the primitives charge costs BEFORE bytes move
 // (charge-before-move), but receivers ADOPT the wire bytes, so the channel
@@ -86,7 +84,7 @@ TEST(TransportParity, CaCutoffSingleEndpointBackends) { run_single_endpoint_matr
 // bitwise identical to the modeled arm — group 0's output is
 // authoritative, group 1 matching too pins the gather.
 
-void run_socket_matrix(const Case& cs, int threads, double drop_rate) {
+void run_socket_matrix(const Case& cs, int threads) {
   const auto want = run_arm(cs, 1, nullptr);
   const std::string dir = vmpi::make_rendezvous_dir();
   RunResult results[2];
@@ -97,12 +95,11 @@ void run_socket_matrix(const Case& cs, int threads, double drop_rate) {
     sc.groups = 2;
     sc.group = group;
     sc.dir = dir;
-    sc.drop_rate = drop_rate;
     auto t = std::make_shared<vmpi::SocketTransport>(sc);  // blocks on rendezvous
     results[group] = run_arm(cs, threads, t);
     wire_frames[group] = t->stats().frames_sent;
-    // `t` (the last reference) dies here: flush + close barrier against
-    // the peer group, which is why both groups run concurrently.
+    // `t` (the last reference) dies here: close barrier against the peer
+    // group, which is why both groups run concurrently.
   };
   std::thread other(group_main, 1);
   group_main(0);
@@ -121,18 +118,12 @@ void run_socket_matrix(const Case& cs, int threads, double drop_rate) {
   EXPECT_GT(wire_frames[1], 0u);
 }
 
-TEST(TransportParity, CaAllPairsSocketMesh) { run_socket_matrix(kAllPairs, /*threads=*/1, 0.0); }
+TEST(TransportParity, CaAllPairsSocketMesh) { run_socket_matrix(kAllPairs, /*threads=*/1); }
 
-TEST(TransportParity, CaCutoffSocketMesh) { run_socket_matrix(kCutoff, 1, 0.0); }
+TEST(TransportParity, CaCutoffSocketMesh) { run_socket_matrix(kCutoff, 1); }
 
 TEST(TransportParity, CaAllPairsSocketMeshThreadedHosts) {
-  run_socket_matrix(kAllPairs, /*threads=*/8, 0.0);
-}
-
-TEST(TransportParity, CaCutoffSocketMeshLossyLink) {
-  // 25% egress drop on every sequenced frame: the reliable channel must
-  // recover losslessly and nothing observable may move.
-  run_socket_matrix(kCutoff, 1, 0.25);
+  run_socket_matrix(kAllPairs, /*threads=*/8);
 }
 
 // --- transports compose with the modeled fault injection ---------------------

@@ -113,6 +113,8 @@ struct GoldenCase {
   /// Speed scale 1.0 and dt 1e-2 instead of 0.01 and 1e-4: particles
   /// leave their team's region every step, so re-assign routes them.
   bool migrating = false;
+  /// Particle count; one that q does not divide gives uneven teams.
+  int n = 256;
 };
 
 Sim::Config golden_config(const GoldenCase& gc) {
@@ -136,11 +138,11 @@ Sim::Config golden_config(const GoldenCase& gc) {
   return cfg;
 }
 
-/// 256 uniform particles. init_uniform gives every particle mass = charge
+/// n uniform particles. init_uniform gives every particle mass = charge
 /// = 1, so a copy that skipped either lane could leave every bit of the
 /// run unchanged; distinct values make the skip show.
-particles::Block golden_input(const Sim::Config& cfg, bool migrating) {
-  auto ps = particles::init_uniform(256, cfg.box, 2013, migrating ? 1.0 : 0.01);
+particles::Block golden_input(const Sim::Config& cfg, const GoldenCase& gc) {
+  auto ps = particles::init_uniform(gc.n, cfg.box, 2013, gc.migrating ? 1.0 : 0.01);
   for (auto& p : ps) {
     p.mass = 1.0f + 0.0625f * static_cast<float>(p.id % 9);
     p.charge = 0.5f + 0.125f * static_cast<float>((p.id * 5) % 7);
@@ -195,7 +197,8 @@ std::string golden_text(const GoldenCase& gc, const particles::Block& initial,
   out << "# Final state of one data-plane golden configuration after " << kSteps << " steps.\n"
       << "# config: " << sim::method_name(gc.method) << " p=" << gc.p << " c=" << gc.c
       << " cutoff=" << gc.cutoff << " fault=" << (gc.fault ? "4242" : "off")
-      << " n=256 seed=2013 speed=" << (gc.migrating ? "1.0" : "0.01") << " dt=" << cfg.dt
+      << " n=" << gc.n << " seed=2013 speed=" << (gc.migrating ? "1.0" : "0.01")
+      << " dt=" << cfg.dt
       << " machine=hopper kernel={1e-4, 1e-2} mass/charge by id\n"
       << "# compiler: " << kCompiler << "\n"
       << "# regenerate: CANB_REGEN_GOLDEN=1 ./build/tests/test_data_plane"
@@ -297,7 +300,7 @@ void check_golden_case(const GoldenCase& gc) {
       transport = std::make_shared<vmpi::ModeledTransport>(gc.p);
       cfg.transport = transport;
     }
-    const auto initial = golden_input(cfg, gc.migrating);
+    const auto initial = golden_input(cfg, gc);
     Sim s(cfg, initial);
     if (arm.threads > 1) s.set_host_pool(std::make_shared<ThreadPool>(arm.threads));
     const RunResult r = run_traced(s, kSteps);
@@ -344,6 +347,18 @@ TEST(DataPlaneBitwise, SpatialHaloReassign) {
 // fold order decides the low bits of every force.
 TEST(DataPlaneBitwise, CaAllPairsFourTeamRows) {
   check_golden_case({"ca_all_pairs_p64_c4", sim::Method::CaAllPairs, 64, 4, 0.0});
+}
+
+// c = sqrt(p): the whole shift loop is one round, so every block pair's
+// two sweeps fall in the same round (teams of 32 lanes).
+TEST(DataPlaneBitwise, CaAllPairsOneRound) {
+  check_golden_case({"ca_all_pairs_p64_c8", sim::Method::CaAllPairs, 64, 8, 0.0});
+}
+
+// c = sqrt(p) with uneven teams (64, 64, 63, 63): the sweeps' lane tails run.
+TEST(DataPlaneBitwise, CaAllPairsOneRoundUnevenTeams) {
+  check_golden_case({"ca_all_pairs_p16_c4_n254", sim::Method::CaAllPairs, 16, 4, 0.0, false,
+                     false, 254});
 }
 
 TEST(DataPlaneBitwise, CaCutoffFourTeamRows) {

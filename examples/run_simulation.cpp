@@ -68,7 +68,8 @@
 //                   Under --transport=socket the group-0 process serves
 //                   the mesh-merged view covering every process.
 //   --serve-linger  keep serving this many seconds after the run finishes
-//                   (for scripted scrapes; default 0)
+//                   (for scripted scrapes; default 0), or after a step
+//                   fails, when /healthz reports {"state":"failed",...}
 //   --series-out    write the per-step flight recorder JSON here
 //   --series-capacity  flight recorder ring size (default 1024)
 //   --straggler-factor a step slower than this multiple of the rolling
@@ -437,14 +438,34 @@ int run(const CliArgs& args, RunPlan plan) {
   // under owner-computes gather() is a symmetric wire all-gather, so gating
   // it on the writers (which only the primary constructs) would deadlock.
   const bool snapshots = args.has("xyz") || args.has("csv");
-  for (int s = 0; s < steps; ++s) {
-    simulation.step();
-    if ((s + 1) % snapshot_every == 0 && snapshots) {
-      const auto snap = simulation.gather();
-      const double t = time0 + (step0 + s + 1) * cfg.dt;
-      if (xyz) xyz->append(snap, static_cast<int>(step0) + s + 1, t);
-      if (csv) csv->append(snap, static_cast<int>(step0) + s + 1, t);
+  // Scripted scrapers (CI, the demo script) get a deterministic window to
+  // read the final state. Non-primary groups skip straight to teardown and
+  // park in the close barrier until the primary follows.
+  const auto linger = [&] {
+    if (primary && simulation.server() != nullptr && plan.serve_linger > 0.0) {
+      std::cout << "serving for another " << plan.serve_linger << "s (--serve-linger)"
+                << std::endl;
+      std::this_thread::sleep_for(std::chrono::duration<double>(plan.serve_linger));
     }
+  };
+  try {
+    for (int s = 0; s < steps; ++s) {
+      simulation.step();
+      if ((s + 1) % snapshot_every == 0 && snapshots) {
+        const auto snap = simulation.gather();
+        const double t = time0 + (step0 + s + 1) * cfg.dt;
+        if (xyz) xyz->append(snap, static_cast<int>(step0) + s + 1, t);
+        if (csv) csv->append(snap, static_cast<int>(step0) + s + 1, t);
+      }
+    }
+  } catch (const std::exception& e) {
+    // /healthz says why the run stopped, for the linger window; then the
+    // error ends the run like any other (one line, exit 1).
+    if (primary && simulation.server() != nullptr) {
+      simulation.publish_failure(e.what());
+      linger();
+    }
+    throw;
   }
 
   const auto final_state = simulation.gather();
@@ -529,14 +550,7 @@ int run(const CliArgs& args, RunPlan plan) {
     std::cout << "\n";
   }
 
-  // Scripted scrapers (CI, the demo script) get a deterministic window to
-  // read the final state. Non-primary groups skip straight to teardown and
-  // park in the close barrier until the primary follows.
-  if (const double linger = plan.serve_linger;
-      primary && simulation.server() != nullptr && linger > 0.0) {
-    std::cout << "serving for another " << linger << "s (--serve-linger)" << std::endl;
-    std::this_thread::sleep_for(std::chrono::duration<double>(linger));
-  }
+  linger();
 
   // Fabric teardown while every peer process is still alive: releasing the
   // last references runs the endpoint's flush + close-barrier. Only then

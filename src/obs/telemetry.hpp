@@ -73,7 +73,9 @@ class Telemetry final : public vmpi::CommObserver {
   /// hit distinct ranks only, so the per-rank accumulators are race-free.
   /// `examined` is the ledger unit; `computed` counts pair evaluations the
   /// host actually executed (under a cutoff, the candidate pairs the cell
-  /// cull kept, a superset of the pairs in range: particles/sweep.hpp).
+  /// cull kept, a superset of the pairs in range: particles/sweep.hpp). A
+  /// paired all-pairs sweep reports its evaluations on the lead rank and 0
+  /// on its partner; a rank may be reported from its partner's task.
   void on_sweep(int rank, std::uint64_t examined, std::uint64_t computed) noexcept;
 
   /// Names the SIMD backend the sweeps dispatched to; published by

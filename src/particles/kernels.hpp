@@ -7,8 +7,12 @@
 //
 // The paper's experiment kernel is InverseSquareRepulsion: "the particles
 // exert a repulsive force on each other that drops off with the square of
-// their distance" (Section III-C). The force need not be symmetric and no
-// symmetry optimizations are applied — we follow that.
+// their distance" (Section III-C). The force need not be symmetric, and the
+// paper applies no symmetry optimization. The host does for the
+// inverse-cube kernels without a cutoff, where f(j, i) is exactly
+// -f(i, j): particles::sweep_pair evaluates a pair once for both sides,
+// bitwise as two sweeps would (sweep.hpp). The virtual cost model still
+// charges every directed pair, as the paper's does.
 #pragma once
 
 #include <algorithm>
@@ -253,10 +257,11 @@ struct SoftSphere {
 /// `examined` is the cost-model unit and is what the vmpi ledger is
 /// charged from: it counts pairs *visited by the algorithm*, and is
 /// identical however the host executes the sweep. `computed` is the
-/// host-side work metric: directed pair interactions actually evaluated —
-/// every within-cutoff pair for the AoS loop, the candidate pairs its cell
-/// cull kept for the resident sweep under a cutoff. Telemetry exposes
-/// both; the cost model never reads `computed`.
+/// host-side work metric: pair interactions actually evaluated — every
+/// within-cutoff pair for the AoS loop, the candidate pairs its cell cull
+/// kept for the resident sweep under a cutoff, each pair once for both
+/// sides in a paired sweep. Telemetry exposes both; the cost model never
+/// reads `computed`.
 struct InteractionCount {
   std::uint64_t examined = 0;       ///< pairs visited (cost-model unit)
   std::uint64_t within_cutoff = 0;  ///< pairs that actually contributed

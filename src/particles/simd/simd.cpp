@@ -119,6 +119,101 @@ std::size_t inv_cube_sweep_scalar(const InvCubeSweep& p, const SweepLanes& tgt,
   return kept;
 }
 
+// --- paired evaluate loop ---------------------------------------------------
+// One pair of inv_cube_sweep_scalar, op for op, without the cutoff: false
+// for a pair the reference skips, else the products mag*dx and mag*dy.
+template <bool kPeriodic, bool kTwoD>
+inline bool inv_cube_pair_one(const InvCubeSweep& p, double tx, double ty, double tid, double tc,
+                              const SweepLanes& src, std::size_t k, double& fx,
+                              double& fy) noexcept {
+  double dx = tx - src.x[k];
+  double dy = kTwoD ? ty - src.y[k] : 0.0;
+  if constexpr (kPeriodic) {
+    dx = wrap_one(dx, p.wrap_x);
+    if constexpr (kTwoD) dy = wrap_one(dy, p.wrap_y);
+  }
+  const double r2 = dx * dx + dy * dy;
+  if (tid == src.id[k]) return false;
+  const double c = p.scale * (tc * src.cpl[k]);
+  const double d2 = r2 + p.soft2;
+  const double mag = c / (d2 * std::sqrt(d2));
+  fx = mag * dx;
+  fy = mag * dy;
+  return true;
+}
+
+template <bool kPeriodic, bool kTwoD>
+std::size_t inv_cube_pair_scalar(const InvCubeSweep& p, const SweepLanes& tgt,
+                                 const SweepLanes& src, double* ax, double* ay, double* bx,
+                                 double* by) noexcept {
+  std::size_t kept = 0;
+  for (std::size_t t = 0; t < tgt.n; ++t) {
+    const double tx = tgt.x[t];
+    const double ty = kTwoD ? tgt.y[t] : 0.0;
+    double sx = ax[t];
+    double sy = ay[t];
+    for (std::size_t k = 0; k < src.n; ++k) {
+      double fx = 0.0;
+      double fy = 0.0;
+      if (!inv_cube_pair_one<kPeriodic, kTwoD>(p, tx, ty, tgt.id[t], tgt.cpl[t], src, k, fx, fy))
+        continue;
+      ++kept;
+      sx += fx;
+      sy += fy;
+      bx[k] -= fx;
+      by[k] -= fy;
+    }
+    ax[t] = sx;
+    ay[t] = sy;
+  }
+  return kept;
+}
+
+/// The pairs among lanes [g, e) of `a`, each once, in scalar order: row i
+/// adds its pairs with the lanes after it and hands each reaction to that
+/// lane, so lane j has received rows g..j-1 before its own row adds.
+template <bool kPeriodic, bool kTwoD>
+std::size_t inv_cube_triangle(const InvCubeSweep& p, const SweepLanes& a, std::size_t g,
+                              std::size_t e, double* ax, double* ay) noexcept {
+  std::size_t kept = 0;
+  for (std::size_t i = g; i < e; ++i) {
+    const double tx = a.x[i];
+    const double ty = kTwoD ? a.y[i] : 0.0;
+    for (std::size_t j = i + 1; j < e; ++j) {
+      double fx = 0.0;
+      double fy = 0.0;
+      if (!inv_cube_pair_one<kPeriodic, kTwoD>(p, tx, ty, a.id[i], a.cpl[i], a, j, fx, fy))
+        continue;
+      ++kept;
+      ax[i] += fx;
+      ay[i] += fy;
+      ax[j] -= fx;
+      ay[j] -= fy;
+    }
+  }
+  return kept;
+}
+
+using InvCubePairFn = std::size_t (*)(const InvCubeSweep&, const SweepLanes&, const SweepLanes&,
+                                      double*, double*, double*, double*) noexcept;
+
+/// inv_cube_sweep_self over groups of kWidth lanes, each group's pairs with
+/// the lanes above it run by the backend's paired loop `kPair`.
+template <bool kPeriodic, bool kTwoD, std::size_t kWidth, InvCubePairFn kPair>
+std::size_t inv_cube_self(const InvCubeSweep& p, const SweepLanes& a, double* ax,
+                          double* ay) noexcept {
+  std::size_t kept = 0;
+  for (std::size_t g = 0; g < a.n; g += kWidth) {
+    const std::size_t e = a.n - g < kWidth ? a.n : g + kWidth;
+    kept += inv_cube_triangle<kPeriodic, kTwoD>(p, a, g, e, ax, ay);
+    if (e == a.n) break;
+    const SweepLanes group{a.x + g, a.y + g, a.id + g, a.cpl + g, e - g};
+    const SweepLanes above{a.x + e, a.y + e, a.id + e, a.cpl + e, a.n - e};
+    kept += kPair(p, group, above, ax + g, ay + g, ax + e, ay + e);
+  }
+  return kept;
+}
+
 #if CANB_SIMD_X86
 
 // Left-pack tables for the vector test bodies: entry m lists the set bit
@@ -291,6 +386,108 @@ std::size_t inv_cube_sweep_sse2(const InvCubeSweep& p, const SweepLanes& tgt,
   return static_cast<std::size_t>(lanes[0] + lanes[1]);
 }
 
+// --- paired evaluate loop: SSE2 ----------------------------------------------
+// The target side is inv_cube_sweep_sse2 op for op. The masked products of
+// two source lanes form a 2x2 tile (lane = target); transposed, its rows
+// are subtracted from the two source sums in target order.
+
+struct InvCubeSse2 {
+  __m128d wx, hx, nhx, wy, hy, nhy, scale, soft2;
+  explicit InvCubeSse2(const InvCubeSweep& p) noexcept
+      : wx(_mm_set1_pd(p.wrap_x)),
+        hx(_mm_set1_pd(0.5 * p.wrap_x)),
+        nhx(_mm_set1_pd(-(0.5 * p.wrap_x))),
+        wy(_mm_set1_pd(p.wrap_y)),
+        hy(_mm_set1_pd(0.5 * p.wrap_y)),
+        nhy(_mm_set1_pd(-(0.5 * p.wrap_y))),
+        scale(_mm_set1_pd(p.scale)),
+        soft2(_mm_set1_pd(p.soft2)) {}
+};
+
+/// Source lane k against the target group (tx, ty, tid, tc, valid): adds
+/// the masked products to (sx, sy) as inv_cube_sweep_sse2 does and returns
+/// them in (fx, fy).
+template <bool kPeriodic, bool kTwoD>
+inline void inv_cube_lane_sse2(const InvCubeSse2& q, const SweepLanes& src, std::size_t k,
+                               __m128d tx, __m128d ty, __m128d tid, __m128d tc, __m128d valid,
+                               __m128d& sx, __m128d& sy, __m128i& kept, __m128d& fx,
+                               __m128d& fy) noexcept {
+  __m128d dx = _mm_sub_pd(tx, _mm_set1_pd(src.x[k]));
+  __m128d dy = kTwoD ? _mm_sub_pd(ty, _mm_set1_pd(src.y[k])) : _mm_setzero_pd();
+  if constexpr (kPeriodic) {
+    dx = wrap_sse2(dx, q.wx, q.hx, q.nhx);
+    if constexpr (kTwoD) dy = wrap_sse2(dy, q.wy, q.hy, q.nhy);
+  }
+  const __m128d r2 = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+  const __m128d keep = _mm_andnot_pd(_mm_cmpeq_pd(tid, _mm_set1_pd(src.id[k])), valid);
+  kept = _mm_sub_epi64(kept, _mm_castpd_si128(keep));
+  const __m128d c = _mm_mul_pd(q.scale, _mm_mul_pd(tc, _mm_set1_pd(src.cpl[k])));
+  const __m128d d2 = _mm_add_pd(r2, q.soft2);
+  const __m128d mag = _mm_div_pd(c, _mm_mul_pd(d2, _mm_sqrt_pd(d2)));
+  fx = _mm_and_pd(_mm_mul_pd(mag, dx), keep);
+  fy = _mm_and_pd(_mm_mul_pd(mag, dy), keep);
+  sx = _mm_add_pd(sx, fx);
+  sy = _mm_add_pd(sy, fy);
+}
+
+/// b[0..1] -= the 2x2 tile whose register u holds the targets' products
+/// with source u: target 0's row first, then target 1's.
+inline void react2_sse2(double* b, __m128d v0, __m128d v1) noexcept {
+  __m128d s = _mm_loadu_pd(b);
+  s = _mm_sub_pd(s, _mm_unpacklo_pd(v0, v1));
+  s = _mm_sub_pd(s, _mm_unpackhi_pd(v0, v1));
+  _mm_storeu_pd(b, s);
+}
+
+/// *b -= each lane of v, in lane (target) order.
+inline void react1_sse2(double* b, __m128d v) noexcept {
+  alignas(16) double f[2];
+  _mm_store_pd(f, v);
+  *b = (*b - f[0]) - f[1];
+}
+
+template <bool kPeriodic, bool kTwoD>
+std::size_t inv_cube_pair_sse2(const InvCubeSweep& p, const SweepLanes& tgt,
+                               const SweepLanes& src, double* ax, double* ay, double* bx,
+                               double* by) noexcept {
+  const InvCubeSse2 q(p);
+  const std::size_t even = src.n - src.n % 2;
+  __m128i kept = _mm_setzero_si128();
+  for (std::size_t t = 0; t < tgt.n; t += 2) {
+    TargetGroup<2, kTwoD> g(tgt, t, ax, ay);
+    const __m128d tx = _mm_load_pd(g.x);
+    const __m128d ty = _mm_load_pd(g.y);
+    const __m128d tid = _mm_load_pd(g.id);
+    const __m128d tc = _mm_load_pd(g.cpl);
+    const __m128d valid = _mm_load_pd(g.valid);
+    __m128d sx = _mm_load_pd(g.ax);
+    __m128d sy = _mm_load_pd(g.ay);
+    std::size_t k = 0;
+    for (; k < even; k += 2) {
+      __m128d fx0, fy0, fx1, fy1;
+      inv_cube_lane_sse2<kPeriodic, kTwoD>(q, src, k, tx, ty, tid, tc, valid, sx, sy, kept, fx0,
+                                           fy0);
+      inv_cube_lane_sse2<kPeriodic, kTwoD>(q, src, k + 1, tx, ty, tid, tc, valid, sx, sy, kept,
+                                           fx1, fy1);
+      react2_sse2(bx + k, fx0, fx1);
+      react2_sse2(by + k, fy0, fy1);
+    }
+    if (k < src.n) {
+      __m128d fx, fy;
+      inv_cube_lane_sse2<kPeriodic, kTwoD>(q, src, k, tx, ty, tid, tc, valid, sx, sy, kept, fx,
+                                           fy);
+      react1_sse2(bx + k, fx);
+      react1_sse2(by + k, fy);
+    }
+    _mm_store_pd(g.ax, sx);
+    _mm_store_pd(g.ay, sy);
+    g.store(t, ax, ay);
+  }
+  alignas(16) std::uint64_t lanes[2];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), kept);
+  return static_cast<std::size_t>(lanes[0] + lanes[1]);
+}
+
 __attribute__((target("avx2"))) inline __m256d wrap_avx2(__m256d d, __m256d w, __m256d h,
                                                          __m256d nh) noexcept {
   const __m256d wrapped = _mm256_blendv_pd(d, _mm256_sub_pd(d, w), _mm256_cmp_pd(d, h, _CMP_GT_OQ));
@@ -412,6 +609,124 @@ __attribute__((target("avx2"))) std::size_t inv_cube_sweep_avx2(
   return total;
 }
 
+// --- paired evaluate loop: AVX2 ----------------------------------------------
+// The target side is inv_cube_sweep_avx2 op for op. The masked products of
+// four source lanes form a 4x4 tile (lane = target); unpacklo/hi and
+// permute2f128 transpose it, and its rows are subtracted from the four
+// source sums in target order. Source lanes past the last multiple of four
+// take their reactions lane by lane, in target order.
+
+struct InvCubeAvx2 {
+  __m256d wx, hx, nhx, wy, hy, nhy, scale, soft2;
+};
+
+template <bool kPeriodic, bool kTwoD>
+__attribute__((target("avx2"), always_inline)) inline void inv_cube_lane_avx2(
+    const InvCubeAvx2& q, const SweepLanes& src, std::size_t k, __m256d tx, __m256d ty,
+    __m256d tid, __m256d tc, __m256d valid, __m256d& sx, __m256d& sy, __m256i& kept,
+    __m256d& fx, __m256d& fy) noexcept {
+  __m256d dx = _mm256_sub_pd(tx, _mm256_broadcast_sd(src.x + k));
+  __m256d dy = kTwoD ? _mm256_sub_pd(ty, _mm256_broadcast_sd(src.y + k)) : _mm256_setzero_pd();
+  if constexpr (kPeriodic) {
+    dx = wrap_avx2(dx, q.wx, q.hx, q.nhx);
+    if constexpr (kTwoD) dy = wrap_avx2(dy, q.wy, q.hy, q.nhy);
+  }
+  const __m256d r2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+  const __m256d keep =
+      _mm256_andnot_pd(_mm256_cmp_pd(tid, _mm256_broadcast_sd(src.id + k), _CMP_EQ_OQ), valid);
+  kept = _mm256_sub_epi64(kept, _mm256_castpd_si256(keep));
+  const __m256d c = _mm256_mul_pd(q.scale, _mm256_mul_pd(tc, _mm256_broadcast_sd(src.cpl + k)));
+  const __m256d d2 = _mm256_add_pd(r2, q.soft2);
+  const __m256d mag = _mm256_div_pd(c, _mm256_mul_pd(d2, _mm256_sqrt_pd(d2)));
+  fx = _mm256_and_pd(_mm256_mul_pd(mag, dx), keep);
+  fy = _mm256_and_pd(_mm256_mul_pd(mag, dy), keep);
+  sx = _mm256_add_pd(sx, fx);
+  sy = _mm256_add_pd(sy, fy);
+}
+
+/// b[0..3] -= the 4x4 tile whose register u holds the targets' products
+/// with source u: target 0's row first, then targets 1, 2 and 3.
+__attribute__((target("avx2"), always_inline)) inline void react4_avx2(double* b, __m256d v0,
+                                                                      __m256d v1, __m256d v2,
+                                                                      __m256d v3) noexcept {
+  const __m256d lo01 = _mm256_unpacklo_pd(v0, v1);  // targets 0 and 2, sources 0 and 1
+  const __m256d hi01 = _mm256_unpackhi_pd(v0, v1);  // targets 1 and 3, sources 0 and 1
+  const __m256d lo23 = _mm256_unpacklo_pd(v2, v3);
+  const __m256d hi23 = _mm256_unpackhi_pd(v2, v3);
+  __m256d s = _mm256_loadu_pd(b);
+  s = _mm256_sub_pd(s, _mm256_permute2f128_pd(lo01, lo23, 0x20));
+  s = _mm256_sub_pd(s, _mm256_permute2f128_pd(hi01, hi23, 0x20));
+  s = _mm256_sub_pd(s, _mm256_permute2f128_pd(lo01, lo23, 0x31));
+  s = _mm256_sub_pd(s, _mm256_permute2f128_pd(hi01, hi23, 0x31));
+  _mm256_storeu_pd(b, s);
+}
+
+/// *b -= each lane of v, in lane (target) order.
+__attribute__((target("avx2"), always_inline)) inline void react1_avx2(double* b,
+                                                                      __m256d v) noexcept {
+  alignas(32) double f[4];
+  _mm256_store_pd(f, v);
+  *b = (((*b - f[0]) - f[1]) - f[2]) - f[3];
+}
+
+template <bool kPeriodic, bool kTwoD>
+__attribute__((target("avx2"))) std::size_t inv_cube_pair_avx2(
+    const InvCubeSweep& p, const SweepLanes& tgt, const SweepLanes& src, double* ax, double* ay,
+    double* bx, double* by) noexcept {
+  const InvCubeAvx2 q{_mm256_set1_pd(p.wrap_x),        _mm256_set1_pd(0.5 * p.wrap_x),
+                      _mm256_set1_pd(-(0.5 * p.wrap_x)), _mm256_set1_pd(p.wrap_y),
+                      _mm256_set1_pd(0.5 * p.wrap_y),    _mm256_set1_pd(-(0.5 * p.wrap_y)),
+                      _mm256_set1_pd(p.scale),           _mm256_set1_pd(p.soft2)};
+  // As in inv_cube_sweep_avx2, a tail of one or two targets runs two lanes
+  // wide after the rest; its reactions still arrive in target order.
+  const std::size_t tail = tgt.n % 4 <= 2 ? tgt.n % 4 : 0;
+  const std::size_t wide = tgt.n - tail;
+  const std::size_t quads = src.n - src.n % 4;
+  __m256i kept = _mm256_setzero_si256();
+  for (std::size_t t = 0; t < wide; t += 4) {
+    TargetGroup<4, kTwoD> g(tgt, t, ax, ay);
+    const __m256d tx = _mm256_load_pd(g.x);
+    const __m256d ty = _mm256_load_pd(g.y);
+    const __m256d tid = _mm256_load_pd(g.id);
+    const __m256d tc = _mm256_load_pd(g.cpl);
+    const __m256d valid = _mm256_load_pd(g.valid);
+    __m256d sx = _mm256_load_pd(g.ax);
+    __m256d sy = _mm256_load_pd(g.ay);
+    std::size_t k = 0;
+    for (; k < quads; k += 4) {
+      __m256d fx0, fy0, fx1, fy1, fx2, fy2, fx3, fy3;
+      inv_cube_lane_avx2<kPeriodic, kTwoD>(q, src, k, tx, ty, tid, tc, valid, sx, sy, kept, fx0,
+                                           fy0);
+      inv_cube_lane_avx2<kPeriodic, kTwoD>(q, src, k + 1, tx, ty, tid, tc, valid, sx, sy, kept,
+                                           fx1, fy1);
+      inv_cube_lane_avx2<kPeriodic, kTwoD>(q, src, k + 2, tx, ty, tid, tc, valid, sx, sy, kept,
+                                           fx2, fy2);
+      inv_cube_lane_avx2<kPeriodic, kTwoD>(q, src, k + 3, tx, ty, tid, tc, valid, sx, sy, kept,
+                                           fx3, fy3);
+      react4_avx2(bx + k, fx0, fx1, fx2, fx3);
+      react4_avx2(by + k, fy0, fy1, fy2, fy3);
+    }
+    for (; k < src.n; ++k) {
+      __m256d fx, fy;
+      inv_cube_lane_avx2<kPeriodic, kTwoD>(q, src, k, tx, ty, tid, tc, valid, sx, sy, kept, fx,
+                                           fy);
+      react1_avx2(bx + k, fx);
+      react1_avx2(by + k, fy);
+    }
+    _mm256_store_pd(g.ax, sx);
+    _mm256_store_pd(g.ay, sy);
+    g.store(t, ax, ay);
+  }
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), kept);
+  std::size_t total = static_cast<std::size_t>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
+  if (tail > 0) {
+    const SweepLanes rest{tgt.x + wide, tgt.y + wide, tgt.id + wide, tgt.cpl + wide, tail};
+    total += inv_cube_pair_sse2<kPeriodic, kTwoD>(p, rest, src, ax + wide, ay + wide, bx, by);
+  }
+  return total;
+}
+
 #endif  // CANB_SIMD_X86
 
 using InvCubeSweepFn = std::size_t (*)(const InvCubeSweep&, const SweepLanes&,
@@ -435,6 +750,39 @@ template <bool kPeriodic, bool kTwoD>
 InvCubeSweepFn inv_cube_sweep_body(Backend b, bool cut) noexcept {
   return cut ? inv_cube_sweep_body<kPeriodic, kTwoD, true>(b)
              : inv_cube_sweep_body<kPeriodic, kTwoD, false>(b);
+}
+
+template <bool kPeriodic, bool kTwoD>
+InvCubePairFn inv_cube_pair_body(Backend b) noexcept {
+#if CANB_SIMD_X86
+  switch (b) {
+    case Backend::Avx2: return &inv_cube_pair_avx2<kPeriodic, kTwoD>;
+    case Backend::Sse2: return &inv_cube_pair_sse2<kPeriodic, kTwoD>;
+    case Backend::Scalar: break;
+  }
+#else
+  (void)b;
+#endif
+  return &inv_cube_pair_scalar<kPeriodic, kTwoD>;
+}
+
+using InvCubeSelfFn = std::size_t (*)(const InvCubeSweep&, const SweepLanes&, double*,
+                                      double*) noexcept;
+
+template <bool kPeriodic, bool kTwoD>
+InvCubeSelfFn inv_cube_self_body(Backend b) noexcept {
+#if CANB_SIMD_X86
+  switch (b) {
+    case Backend::Avx2:
+      return &inv_cube_self<kPeriodic, kTwoD, 4, &inv_cube_pair_avx2<kPeriodic, kTwoD>>;
+    case Backend::Sse2:
+      return &inv_cube_self<kPeriodic, kTwoD, 2, &inv_cube_pair_sse2<kPeriodic, kTwoD>>;
+    case Backend::Scalar: break;
+  }
+#else
+  (void)b;
+#endif
+  return &inv_cube_self<kPeriodic, kTwoD, 1, &inv_cube_pair_scalar<kPeriodic, kTwoD>>;
 }
 
 using TestLanesFn = LaneTestCount (*)(const LaneTest&, const float*, const float*,
@@ -529,6 +877,32 @@ std::size_t inv_cube_sweep(const InvCubeSweep& p, const SweepLanes& tgt, const S
     body = p.two_d ? inv_cube_sweep_body<false, true>(b, cut)
                    : inv_cube_sweep_body<false, false>(b, cut);
   return body(p, tgt, src, ax, ay);
+}
+
+std::size_t inv_cube_sweep_pair(const InvCubeSweep& p, const SweepLanes& a, const SweepLanes& b,
+                                double* ax, double* ay, double* bx, double* by) noexcept {
+  const Backend backend = active();
+  InvCubePairFn body = nullptr;
+  if (p.wrap_x > 0.0)
+    body = p.two_d ? inv_cube_pair_body<true, true>(backend)
+                   : inv_cube_pair_body<true, false>(backend);
+  else
+    body = p.two_d ? inv_cube_pair_body<false, true>(backend)
+                   : inv_cube_pair_body<false, false>(backend);
+  return body(p, a, b, ax, ay, bx, by);
+}
+
+std::size_t inv_cube_sweep_self(const InvCubeSweep& p, const SweepLanes& a, double* ax,
+                                double* ay) noexcept {
+  const Backend backend = active();
+  InvCubeSelfFn body = nullptr;
+  if (p.wrap_x > 0.0)
+    body = p.two_d ? inv_cube_self_body<true, true>(backend)
+                   : inv_cube_self_body<true, false>(backend);
+  else
+    body = p.two_d ? inv_cube_self_body<false, true>(backend)
+                   : inv_cube_self_body<false, false>(backend);
+  return body(p, a, ax, ay);
 }
 
 LaneTestCount test_lanes(const LaneTest& row, const float* sx, const float* sy,

@@ -11,7 +11,9 @@
 //    lanes, each candidate source broadcast in list order, geometry, masks,
 //    magnitude and the masked force sums all in registers. Same op sequence
 //    per pair as the AoS reference loop, no FMA, so every backend produces
-//    bitwise-identical sums.
+//    bitwise-identical sums. Its paired and self variants
+//    (inv_cube_sweep_pair, inv_cube_sweep_self) evaluate each pair once
+//    and hand the reaction to the other side in that side's source order.
 //  * test_lanes — the test pass of the resident sweep for the other
 //    kernels: geometry, id and cutoff tests for a row of source lanes,
 //    packing the kept lanes' indices. Same op sequence as the AoS reference
@@ -89,6 +91,36 @@ struct SweepLanes {
 /// -0.0).
 std::size_t inv_cube_sweep(const InvCubeSweep& p, const SweepLanes& tgt, const SweepLanes& src,
                            double* ax, double* ay) noexcept;
+
+/// The paired evaluate loop (no cutoff; p.cut2 is ignored): inv_cube_sweep
+/// of `a` against `b`, which also hands each kept pair's products to b's
+/// sums. For every target t of a in ascending order and every lane k of b,
+///
+///   ax[t] += f,  ay[t] likewise     exactly as inv_cube_sweep(p, a, b)
+///   bx[k] -= f,  by[k] likewise     f = keep ? mag * dx : +0.0
+///
+/// Each b lane therefore sees a's lanes in ascending order, and each
+/// subtraction is bitwise the add inv_cube_sweep(p, b, a) makes: a - f
+/// rounds like a + (-f), b's dx is exactly -dx (the minimum image is odd),
+/// and r2, the coupling and the magnitude are the same numbers in both
+/// directions. A masked pair subtracts +0.0, which changes no sum. So bx/by
+/// end bitwise equal to what inv_cube_sweep(p, b, a) leaves in its sums
+/// when both start equal. Returns the kept pairs (the same count in both
+/// directions).
+std::size_t inv_cube_sweep_pair(const InvCubeSweep& p, const SweepLanes& a, const SweepLanes& b,
+                                double* ax, double* ay, double* bx, double* by) noexcept;
+
+/// The self variant (no cutoff): inv_cube_sweep(p, a, a) with each
+/// unordered pair of lanes evaluated once. Lanes are taken in groups of the
+/// backend's width; each group first runs its own triangle in scalar order,
+/// then inv_cube_sweep_pair against the lanes above it. Lane j so receives
+/// the pairs with lanes below it as reactions, in ascending order, before it
+/// adds the pairs with lanes above it, which is the source order
+/// inv_cube_sweep(p, a, a) adds them in: the sums end bitwise equal.
+/// Returns the kept unordered pairs (half the kept pairs inv_cube_sweep
+/// counts).
+std::size_t inv_cube_sweep_self(const InvCubeSweep& p, const SweepLanes& a, double* ax,
+                                double* ay) noexcept;
 
 /// One target row of the force sweep's test pass (particles/sweep.hpp).
 struct LaneTest {

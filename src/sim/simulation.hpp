@@ -339,6 +339,15 @@ class Simulation {
     return obs::analyze_critical_path(telemetry_->spans(), telemetry_->trace());
   }
 
+  /// Marks the run failed: /healthz serves {"state":"failed","error":...}
+  /// from now on. Call it when a step throws, before the Simulation
+  /// unwinds, so a scraper learns why the run stopped. Local only (no mesh
+  /// exchange), so any one group may call it.
+  void publish_failure(const std::string& error) {
+    failure_ = error;
+    publish_server(false);
+  }
+
   /// The registry every exporter should serialize: on a mesh primary, the
   /// local registry with each remote group's latest snapshot merged in;
   /// otherwise a copy of the local registry (empty when obs is Off).
@@ -512,7 +521,12 @@ class Simulation {
     std::ostringstream os;
     obs::JsonWriter w(os);
     w.begin_object();
-    w.kv("state", finished ? "finished" : "running");
+    if (failure_) {
+      w.kv("state", "failed");
+      w.kv("error", *failure_);
+    } else {
+      w.kv("state", finished ? "finished" : "running");
+    }
     w.kv("step", steps_);
     w.kv("phase", telemetry_ ? telemetry_->last_phase_label() : std::string());
     w.kv("method", method_name(cfg_.method));
@@ -560,6 +574,8 @@ class Simulation {
   /// Whether owner-computes is active (a multi-group transport); see
   /// exec_mode().
   bool owner_computes_ = false;
+  /// Set by publish_failure: the error /healthz reports.
+  std::optional<std::string> failure_;
   /// Declared last: the serving thread reads only content it was handed,
   /// but tearing it down first on destruction keeps the shutdown ordering
   /// obvious (no scrape can race the engine's teardown).

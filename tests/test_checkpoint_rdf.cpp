@@ -92,6 +92,28 @@ TEST(Checkpoint, RejectsACountLargerThanTheFileBeforeAllocating) {
     expect_rejected([count](std::string& b) { std::memcpy(b.data() + 24, &count, 8); }, "count");
 }
 
+TEST(Checkpoint, RejectsTrailingBytes) {
+  // One stray byte, and a whole extra record the count does not cover.
+  for (const std::size_t extra : {std::size_t{1}, particles::kParticleBytes})
+    expect_rejected([extra](std::string& b) { b.append(extra, '\0'); }, "trailing bytes");
+}
+
+TEST(Checkpoint, EveryTruncationIsRejected) {
+  for (std::size_t len = 0; len < 40 + 10 * particles::kParticleBytes; ++len) {
+    SCOPED_TRACE(::testing::Message() << "truncated to " << len << " bytes");
+    expect_rejected([len](std::string& b) { b.resize(len); });
+  }
+}
+
+TEST(Checkpoint, EveryFlippedBitIsRejected) {
+  for (std::size_t bit = 0; bit < 8 * (40 + 10 * particles::kParticleBytes); ++bit) {
+    SCOPED_TRACE(::testing::Message() << "bit " << bit % 8 << " of byte " << bit / 8);
+    expect_rejected([bit](std::string& b) {
+      b[bit / 8] = static_cast<char>(b[bit / 8] ^ (1 << (bit % 8)));
+    });
+  }
+}
+
 TEST(Checkpoint, RejectsVersion1Files) {
   // Version 1: the same header without the checksum field.
   expect_rejected(

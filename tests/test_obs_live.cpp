@@ -475,4 +475,25 @@ TEST(ObsServe, SimulationServesLiveStepCount) {
   EXPECT_EQ(s.step_series()->recorded_total(), 5u);
 }
 
+// A run whose step throws says so on /healthz, with the error, before the
+// server goes away (run_simulation publishes it, then lingers).
+TEST(ObsServe, HealthzReportsAFailedRun) {
+  auto cfg = live_config();
+  cfg.obs = obs::ObsLevel::Metrics;
+  cfg.serve_port = 0;
+  Sim s(cfg, particles::init_uniform(256, cfg.box, 2013, 0.01));
+  ASSERT_NE(s.server(), nullptr);
+  s.run(2);
+  s.publish_failure("socket transport: group 0 lost peer group 1 (\"eof\")");
+  const auto health = body_of(http_get(s.server()->port(), "/healthz"));
+  EXPECT_EQ(health.rfind("{\"state\":\"failed\",", 0), 0u) << health;
+  EXPECT_NE(health.find("\"error\":\"socket transport: group 0 lost peer group 1 "
+                        "(\\\"eof\\\")\""),
+            std::string::npos)
+      << health;
+  EXPECT_NE(health.find("\"step\":2"), std::string::npos) << health;
+  const auto err = obs::validate_prometheus(body_of(http_get(s.server()->port(), "/metrics")));
+  EXPECT_FALSE(err.has_value()) << *err;
+}
+
 }  // namespace

@@ -127,10 +127,14 @@ std::uint64_t sum_counter(const obs::MetricsRegistry& reg, const std::string& na
 /// Each process must sweep ONLY its owned ranks' pairs: the group-labeled
 /// canb_sweep_pairs_computed_total series in the mesh-merged registry sum
 /// to the single-process total, and each group's share is strictly partial.
+/// The computed series partition only because this mesh keeps both ranks
+/// of every paired sweep in one group (partners share a grid row at p=8,
+/// c=2); the examined series (canb_sweep_pairs_total) partition always.
 TEST(OwnerComputes, SweepPairsPartitionAcrossGroups) {
-  // Single-process total from the modeled arm. Full level so the bulk fast
+  // Single-process totals from the modeled arm. Full level so the bulk fast
   // path is off in both arms and every sweep hits the telemetry hook.
   std::uint64_t want_total = 0;
+  std::uint64_t want_examined = 0;
   {
     Sim::Config cfg = base_config(sim::Method::CaAllPairs);
     cfg.obs = obs::ObsLevel::Full;
@@ -138,8 +142,10 @@ TEST(OwnerComputes, SweepPairsPartitionAcrossGroups) {
     s.run(kSteps);
     s.finalize_telemetry();
     want_total = s.telemetry()->sweep_pairs_computed();
+    want_examined = s.telemetry()->sweep_pairs_examined();
   }
   ASSERT_GT(want_total, 0u);
+  ASSERT_GT(want_examined, want_total);  // pairing evaluates pairs once
 
   const std::string dir = vmpi::make_rendezvous_dir();
   constexpr int kGroups = 2;
@@ -166,14 +172,18 @@ TEST(OwnerComputes, SweepPairsPartitionAcrossGroups) {
       const auto merged = s.merged_metrics();
       const std::uint64_t sum =
           sum_counter(merged, "canb_sweep_pairs_computed_total", &n_series);
-      partition_ok = sum == want_total && n_series == static_cast<std::size_t>(kGroups);
+      std::size_t n_examined = 0;
+      const std::uint64_t examined = sum_counter(merged, "canb_sweep_pairs_total", &n_examined);
+      partition_ok = sum == want_total && n_series == static_cast<std::size_t>(kGroups) &&
+                     examined == want_examined &&
+                     n_examined == static_cast<std::size_t>(kGroups);
     }
   }
   if (!pg.primary()) std::_Exit(ok ? 0 : 1);
 
   EXPECT_TRUE(ok) << "group 0 swept zero pairs or the full single-process workload";
-  EXPECT_TRUE(partition_ok)
-      << "per-group canb_sweep_pairs_computed_total did not sum to the single-process total";
+  EXPECT_TRUE(partition_ok) << "per-group canb_sweep_pairs_computed_total or "
+                               "canb_sweep_pairs_total did not sum to the single-process total";
   EXPECT_EQ(pg.wait_children(), 0);
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
